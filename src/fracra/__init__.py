@@ -56,7 +56,6 @@ from .krylov import (
 )
 from .operator import (
     FactorizationError,
-    InnerSolveError,
     RationalOperator,
     SpdAuditReport,
     spd_audit,

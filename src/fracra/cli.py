@@ -17,7 +17,7 @@ from . import experiments
 from .aaa import DEFAULT_FLOOR_RATIO, fit_fractional_sum, partial_fraction_to_dict
 from .functions import FractionalSumFunction
 from .krylov import CurvatureBreakdownError, IndefinitePreconditionerError
-from .operator import FactorizationError, InnerSolveError
+from .operator import FactorizationError
 from .pencil import (
     DenseCapExceededError,
     assemble_interface,
@@ -32,7 +32,6 @@ EXIT_NUMERICAL = 3
 
 _NUMERICAL_ERRORS = (
     FactorizationError,
-    InnerSolveError,
     CurvatureBreakdownError,
     IndefinitePreconditionerError,
     DenseCapExceededError,
@@ -70,8 +69,7 @@ def cmd_fit(args):
 def cmd_solve_interface(args):
     problem = experiments.build_interface_problem(args.mu, args.K, args.cells)
     _, report, pf, setup = experiments.solve_interface(
-        problem, args.tol_ra, args.tol_krylov, args.method, args.seed,
-        args.backend)
+        problem, args.tol_ra, args.tol_krylov, args.method, args.seed)
     print(f"iterations={report.iterations}")
     print(f"converged={report.converged}")
     print(f"poles N={pf.degree} setup_seconds={setup:.4f}")
@@ -166,7 +164,6 @@ def build_parser():
     p_solve.add_argument("--tol-ra", type=float, required=True)
     p_solve.add_argument("--tol-krylov", type=float, required=True)
     p_solve.add_argument("--method", choices=("minres", "pcg"), default="minres")
-    p_solve.add_argument("--backend", choices=("direct", "cg"), default="direct")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=cmd_solve_interface)

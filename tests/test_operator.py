@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import fracra.operator as operator_module
 from fracra.aaa import PartialFraction, fit_for_pencil
 from fracra.operator import (
     FactorizationError,
@@ -8,8 +11,10 @@ from fracra.operator import (
     spd_audit,
 )
 from fracra.pencil import (
+    OperatorPencil,
     assemble_interface,
     assemble_interval,
+    assemble_unit_square,
     dense_inverse_fractional_apply,
 )
 
@@ -169,8 +174,13 @@ def test_apply_count_telemetry():
     op.apply(r)
     op.apply(r)
     assert op.apply_count == 2
-    assert op.telemetry["solves_per_apply"] == 2
-    assert len(op.telemetry["shift_seconds"]) == 2
+    telemetry = op.telemetry
+    assert telemetry["solves_per_apply"] == 2
+    # per shift, mass matrix first: apply time, factorization time and fill
+    for key in ("shift_seconds", "factor_seconds", "factor_nnz"):
+        assert len(telemetry[key]) == 2
+    assert all(t >= 0 for t in telemetry["factor_seconds"])
+    assert all(nnz >= pencil.n_c for nnz in telemetry["factor_nnz"])
 
 
 def test_spd_audit_positive_operator():
@@ -193,22 +203,75 @@ def test_spd_audit_mass_only_symmetric():
         spd_audit(op, trials=0)
 
 
-def test_cg_backend_agrees_with_direct():
-    pencil = assemble_interface(64)
-    pf = fit_for_pencil(1.0, 1.0, -0.5, 0.5, pencil, 1e-10)
-    direct = RationalOperator(pf, pencil, backend="direct")
-    iterative = RationalOperator(pf, pencil, backend="cg", inner_tol=1e-12)
-    r = np.random.default_rng(8).standard_normal(pencil.n_c)
-    a = direct.apply(r)
-    b = iterative.apply(r)
-    assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
-
-
-def test_backend_validation():
+def test_apply_rejects_wrong_length():
     pencil = assemble_interface(32)
-    pf = PartialFraction(1.0, [], [], 1e-12)
-    with pytest.raises(ValueError):
-        RationalOperator(pf, pencil, backend="magic")
-    op = RationalOperator(pf, pencil)
+    op = RationalOperator(PartialFraction(1.0, [], [], 1e-12), pencil)
     with pytest.raises(ValueError):
         op.apply(np.ones(pencil.n_c + 1))
+
+
+def _no_sparse_lu(*_args, **_kwargs):
+    raise AssertionError("a definite shift reached sparse LU")
+
+
+@pytest.mark.parametrize("make,kd_min", [
+    (lambda: assemble_interval(60, periodic=False), 1),
+    (lambda: assemble_interface(64), 2),
+    (lambda: assemble_unit_square(8), 3),
+])
+def test_banded_apply_matches_dense_spectral_apply(make, kd_min, monkeypatch):
+    # The mass matrix and nonpositive poles are banded Cholesky shifts in
+    # reverse Cuthill-McKee order; none of them may fall back to sparse LU.
+    monkeypatch.setattr(operator_module, "splu", _no_sparse_lu)
+    pencil = make()
+    pf = PartialFraction(0.2, [1.0, 0.5, 3.0], [-2.0, 0.0, -50.0], 1e-12)
+    op = RationalOperator(pf, pencil)
+    assert op._mass_solver.factor.shape[0] - 1 >= kd_min
+    r = np.random.default_rng(10).standard_normal(pencil.n_c)
+    symbol = lambda lam: 0.2 + 1.0 / (lam + 2.0) + 0.5 / lam + 3.0 / (lam + 50.0)
+    ref = dense_inverse_fractional_apply(pencil, symbol, r)
+    assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_pole_above_rho_is_a_negative_definite_shift(monkeypatch):
+    # A - p M is negative definite for p > rho_bound: it is factorized as
+    # p M - A by banded Cholesky, without the positive-pole warning.
+    monkeypatch.setattr(operator_module, "splu", _no_sparse_lu)
+    pencil = assemble_interface(256)
+    rho = pencil.rho_bound
+    pf = PartialFraction(0.1, [0.5, 1.0], [-1.0, 2.0 * rho], 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = RationalOperator(pf, pencil)
+    r = np.random.default_rng(11).standard_normal(pencil.n_c)
+    symbol = lambda lam: 0.1 + 0.5 / (lam + 1.0) + 1.0 / (lam - 2.0 * rho)
+    ref = dense_inverse_fractional_apply(pencil, symbol, r)
+    assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_negative_definite_pencil_reports_pole():
+    # -A of a Dirichlet interval is negative definite, so the pole at zero
+    # is not an SPD shift.
+    base = assemble_interval(32, periodic=False)
+    pencil = OperatorPencil(-base.A, base.M, spatial_dimension=1)
+    pf = PartialFraction(0.0, [1.0], [0.0], 1e-12)
+    with pytest.raises(FactorizationError, match="pole"):
+        RationalOperator(pf, pencil)
+
+
+def test_band_factors_hold_no_subnormal_entries():
+    # On a ring in reverse Cuthill-McKee order the factor's coupling between
+    # the two ends of the ordering decays through the subnormal range; those
+    # entries are flushed to zero, which keeps every solve at full speed.
+    pencil = assemble_interface(1024)
+    pf = PartialFraction(1.0, [1.0, 1.0], [-1.0, -1e6], 1e-12)
+    op = RationalOperator(pf, pencil)
+    factors = [op._mass_solver.factor] + [solver.factor for *_, solver in op._terms]
+    tiny = np.finfo(float).tiny
+    for factor in factors:
+        assert not np.any((factor != 0.0) & (np.abs(factor) < tiny))
+    assert op.telemetry["factor_nnz"] == [int(np.count_nonzero(f)) for f in factors]
+    r = np.random.default_rng(12).standard_normal(pencil.n_c)
+    symbol = lambda lam: 1.0 + 1.0 / (lam + 1.0) + 1.0 / (lam + 1e6)
+    ref = dense_inverse_fractional_apply(pencil, symbol, r)
+    assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
