@@ -3,6 +3,9 @@
 The fitter picks support points where the current deviation is largest and
 solves for barycentric weights with the smallest singular vector of the
 (column-equilibrated) Loewner matrix restricted to the remaining samples.
+Each step appends one Cauchy and one Loewner column and zeroes the new
+support row in the earlier columns instead of rebuilding either matrix, and
+the weights come from the SVD of the m x m R factor of the Loewner matrix.
 Fitted interpolants are converted to the partial fraction form
 ``c0 + c1*x + sum(c_i / (x - p_i))`` whose poles drive the shifted-solve
 operators in :mod:`fracra.operator`; the linear term carries a pole of the
@@ -144,6 +147,16 @@ def aaa_fit(x, y, tolerance, max_degree=30):
     iterate seen is returned; ``converged`` is False when the target was
     missed.
 
+    The Cauchy and Loewner matrices are kept in preallocated arrays with one
+    column per support point; each step fills the new column and zeroes the
+    new support row in the earlier columns, which restricts both matrices to
+    the remaining samples without masking rows.  The weights are the last
+    right singular vector of the R factor of the column-equilibrated Loewner
+    matrix (``np.linalg.qr(..., mode="r")``), which has the singular values
+    and right singular vectors of the tall matrix.  If the equilibrated pass
+    misses the tolerance, a pass without equilibration runs and the better of
+    the two is kept.  The support points are returned in ascending order.
+
     A rank-deficient weight solve (the data is exactly rational of lower
     degree) is reported with a RuntimeWarning and the smallest singular vector
     is used regardless.
@@ -168,14 +181,14 @@ def aaa_fit(x, y, tolerance, max_degree=30):
     # but convergence is judged against the tolerance itself.
     target = STOP_SAFETY * tolerance
 
-    best, history, _ = _greedy_pass(x, y, target, max_degree, equilibrate=True)
+    best, history = _greedy_pass(x, y, target, max_degree, equilibrate=True)
     if best[3] > tolerance:
         # Either weight solve can plateau a hair above the tolerance; the
         # equilibrated one copes better with badly scaled Loewner columns and
         # runs first, the plain one is the fallback.  Keep whichever pass got
         # further.
-        best2, history2, _ = _greedy_pass(x, y, target, max_degree,
-                                          equilibrate=False)
+        best2, history2 = _greedy_pass(x, y, target, max_degree,
+                                       equilibrate=False)
         if best2[3] < best[3]:
             best, history = best2, history2
 
@@ -196,41 +209,46 @@ def aaa_fit(x, y, tolerance, max_degree=30):
 
 
 def _greedy_pass(x, y, target, max_degree, equilibrate):
-    n = x.size
-    in_support = np.zeros(n, dtype=bool)
-    resid_approx = np.full(n, y.mean())
+    # Column k holds the Cauchy and Loewner columns of the k-th support point.
+    # Support rows are zero in every column: zero rows change neither the
+    # singular values nor the right singular vectors, so no row is masked.
+    # The deviation is 0 once every sample is a support point.
+    cols = min(x.size, max_degree + 1)
+    cauchy = np.zeros((x.size, cols), order="F")
+    loewner = np.zeros((x.size, cols), order="F")
+    support = []
+    approx = np.full(x.size, y.mean())
     best = None
     history = []
     warned_degenerate = False
-    converged = False
 
-    for m in range(1, max_degree + 2):
+    for m in range(1, cols + 1):
         # Greedy pick: argmax returns the first (smallest abscissa) on ties.
-        j = int(np.argmax(np.abs(y - resid_approx)))
-        in_support[j] = True
-        idx_s = np.flatnonzero(in_support)
-        idx_r = np.flatnonzero(~in_support)
-        zj, fj = x[idx_s], y[idx_s]
+        j = int(np.argmax(np.abs(y - approx)))
+        cauchy[j, :m - 1] = 0.0
+        loewner[j, :m - 1] = 0.0
+        support.append(j)
+        with np.errstate(divide="ignore"):
+            column = 1.0 / (x - x[j])
+        column[support] = 0.0
+        cauchy[:, m - 1] = column
+        loewner[:, m - 1] = (y - y[j]) * column
 
-        cauchy = 1.0 / (x[idx_r, None] - zj[None, :])
-        loewner = (y[idx_r, None] - fj[None, :]) * cauchy
+        # The m x m R factor has the singular values and right singular
+        # vectors of the tall Loewner matrix; its SVD needs no U.
+        lw = loewner[:, :m]
         if equilibrate:
-            col_scale = np.linalg.norm(loewner, axis=0)
+            col_scale = np.linalg.norm(lw, axis=0)
             col_scale[col_scale == 0.0] = 1.0
-            loewner = loewner / col_scale
-        if loewner.shape[0] >= loewner.shape[1]:
-            _, sing, vh = np.linalg.svd(loewner, full_matrices=False)
-        else:
-            _, sing, vh = np.linalg.svd(loewner, full_matrices=True)
-        wj = vh[-1, :].conj().real
+            lw = lw / col_scale
+        r = np.linalg.qr(lw, mode="r")
+        _, sing, vh = np.linalg.svd(r)
+        wj = vh[-1, :]
         if equilibrate:
             wj = wj / col_scale
             wj /= np.linalg.norm(wj)
-        if (
-            not warned_degenerate
-            and sing.size >= 2
-            and sing[-2] <= 1e-14 * max(sing[0], np.finfo(float).tiny)
-        ):
+        if not warned_degenerate and sing.size >= 2 and (
+                sing[-2] <= 1e-14 * max(sing[0], np.finfo(float).tiny)):
             warnings.warn(
                 "rank-deficient barycentric weight solve; the data is rational "
                 "of lower degree and the interpolant is not unique",
@@ -238,22 +256,22 @@ def _greedy_pass(x, y, target, max_degree, equilibrate):
             )
             warned_degenerate = True
 
-        numer = cauchy @ (wj * fj)
-        denom = cauchy @ wj
-        resid_approx = y.copy()
+        fj = y[support]
         with np.errstate(divide="ignore", invalid="ignore"):
-            resid_approx[idx_r] = numer / denom
+            approx = (cauchy[:, :m] @ (wj * fj)) / (cauchy[:, :m] @ wj)
+        approx[support] = fj
 
-        err = np.max(np.abs(y - resid_approx))
+        err = np.max(np.abs(y - approx))
         err = float(err) if np.isfinite(err) else float("inf")
-        if best is None or err < best[3]:
-            best = (zj.copy(), fj.copy(), wj.copy(), err)
+        if best is None or err < best[2]:
+            best = (list(support), wj, err)
         history.append(min(err, history[-1]) if history else err)
         if err <= target:
-            converged = True
             break
 
-    return best, history, converged
+    idx, wj, err = best
+    order = np.argsort(idx)
+    return (x[idx][order], y[idx][order], wj[order], err), history
 
 
 @dataclass(frozen=True)
@@ -308,7 +326,9 @@ class PartialFraction:
     deviation it achieved on the fit grid; both refer to the normalized
     unit-interval fit and are left untouched by rescaling.
     ``validation_error`` is the deviation of this converted form against the
-    samples it was derived from (None when unknown).
+    samples it was derived from (None when unknown).  ``converged`` is the
+    fit's verdict against its tolerance (:attr:`BarycentricForm.converged`;
+    None when unknown); like ``fit_error`` it survives rescaling.
     """
 
     c0: float
@@ -319,6 +339,7 @@ class PartialFraction:
     fit_error: float = None
     validation_error: float = None
     c1: float = 0.0
+    converged: bool = None
 
     def __post_init__(self):
         self.residues = np.atleast_1d(np.asarray(self.residues, dtype=complex))
@@ -405,33 +426,28 @@ def _polish_poles(poles, zj, wj, max_steps=10):
     The arrowhead eigensolve locates poles with absolute accuracy only, which
     is poor relative accuracy for poles much smaller than the support scale.
     A few Newton steps on the denominator restore componentwise accuracy; a
-    step is kept only while it decreases |denominator|.
+    pole's step is kept only while it decreases |denominator|, and that pole
+    stops at the first step that does not.
     """
     polished = np.array(poles, dtype=complex)
-    for k, pole in enumerate(polished):
-        current = pole
-        with np.errstate(divide="ignore", invalid="ignore"):
-            best_val = abs(np.sum(wj / (current - zj)))
+    with np.errstate(all="ignore"):
+        best_val = np.abs((wj / (polished[:, None] - zj)).sum(axis=1))
+        active = np.arange(polished.size)
         for _ in range(max_steps):
-            diff = current - zj
-            if np.any(diff == 0):
+            if active.size == 0:
                 break
-            den = np.sum(wj / diff)
-            dden = -np.sum(wj / diff**2)
-            if dden == 0 or not np.isfinite(den) or not np.isfinite(dden):
-                break
-            step = den / dden
+            current = polished[active]
+            diff = current[:, None] - zj
+            step = (wj / diff).sum(axis=1) / -(wj / diff**2).sum(axis=1)
             candidate = current - step
-            cdiff = candidate - zj
-            if np.any(cdiff == 0):
-                break
-            cval = abs(np.sum(wj / cdiff))
-            if not np.isfinite(cval) or cval >= best_val:
-                break
-            current, best_val = candidate, cval
-            if abs(step) <= 4 * np.finfo(float).eps * (abs(current) + np.finfo(float).tiny):
-                break
-        polished[k] = current
+            cval = np.abs((wj / (candidate[:, None] - zj)).sum(axis=1))
+            # A node hit or a vanishing derivative gives a non-finite value.
+            ok = np.isfinite(step) & np.isfinite(cval) & (cval < best_val[active])
+            polished[active[ok]] = candidate[ok]
+            best_val[active[ok]] = cval[ok]
+            tiny_step = np.abs(step) <= 4 * np.finfo(float).eps * (
+                np.abs(candidate) + np.finfo(float).tiny)
+            active = active[ok & ~tiny_step]
     return polished
 
 
@@ -480,7 +496,8 @@ def _checked_form(units, c0, c1, form):
     """Partial fraction from units, validated against the form's samples."""
     poles, residues = _units_to_arrays(units)
     pf = PartialFraction(c0, residues, poles, form.tolerance,
-                         fit_error=form.achieved_error, c1=c1)
+                         fit_error=form.achieved_error, c1=c1,
+                         converged=form.converged)
     if form.grid is not None:
         deviation = np.max(np.abs(eval_pf(pf, form.grid) - form.grid_values))
         pf.validation_error = float(deviation)
@@ -576,12 +593,15 @@ def to_partial_fraction(form, froissart_rtol=FROISSART_RTOL):
             raise PoleExtractionError("interpolant has no finite value at infinity")
         return _checked_form(units, c0, 0.0, form)
 
-    kept = []
-    for kind, p, c in units:
-        dist = np.min(np.abs(form.grid - p))
-        weight = abs(c) if kind == "real" else 2 * abs(c)
-        if weight / max(dist, np.finfo(float).tiny) > 0.05 * form.tolerance:
-            kept.append((kind, p, c))
+    kept = units
+    if units:
+        kinds, p, c = (np.array(v) for v in zip(*units))
+        # |x - p| is smallest at the sample nearest Re p.
+        gap = np.min(np.abs(form.grid[None, :] - p.real[:, None]), axis=1)
+        dist = np.maximum(np.hypot(gap, p.imag), np.finfo(float).tiny)
+        weight = np.where(kinds == "real", 1.0, 2.0) * np.abs(c)
+        used = weight / dist > 0.05 * form.tolerance
+        kept = [u for u, keep in zip(units, used) if keep]
     values = bary_eval(form, form.grid)
     # A constant interpolant keeps its exact barycentric value as c0.
     if units:
@@ -654,6 +674,7 @@ def scale_to_interval(pf, rho):
         fit_error=pf.fit_error,
         validation_error=pf.validation_error,
         c1=pf.c1 / rho,
+        converged=pf.converged,
     )
 
 
@@ -669,6 +690,7 @@ def denormalize(pf, leading_weight):
         fit_error=pf.fit_error,
         validation_error=pf.validation_error,
         c1=pf.c1 / leading_weight,
+        converged=pf.converged,
     )
 
 
@@ -722,6 +744,7 @@ def partial_fraction_to_dict(pf):
         "validation_error": (
             None if pf.validation_error is None else float(pf.validation_error)
         ),
+        "converged": None if pf.converged is None else bool(pf.converged),
     }
 
 
@@ -729,7 +752,8 @@ def partial_fraction_from_dict(data):
     """Inverse of :func:`partial_fraction_to_dict`.
 
     A dictionary without ``"c1"`` (schema 1, written before the linear term
-    existed) reads as c1 = 0.
+    existed) reads as c1 = 0, and one without ``"converged"`` (written before
+    the flag was stored) as converged = None.
     """
     poles = np.array([complex(re, im) for re, im in data["poles"]], dtype=complex)
     residues = np.array([complex(re, im) for re, im in data["residues"]], dtype=complex)
@@ -741,4 +765,5 @@ def partial_fraction_from_dict(data):
         fit_error=data.get("fit_error"),
         validation_error=data.get("validation_error"),
         c1=data.get("c1", 0.0),
+        converged=data.get("converged"),
     )

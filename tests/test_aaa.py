@@ -1,11 +1,15 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracra.aaa import (
     DEFAULT_FLOOR_RATIO,
+    BarycentricForm,
     PartialFraction,
+    _polish_poles,
     aaa_fit,
     bary_eval,
     denormalize,
@@ -111,6 +115,14 @@ def test_non_convergence_reported():
     form = aaa_fit(x, y, 1e-12, max_degree=3)
     assert not form.converged
     assert form.achieved_error > 1e-12
+    # The verdict travels with the applied form through both rescalings.
+    pf = to_partial_fraction(form)
+    assert pf.converged is False
+    assert denormalize(pf, 2.0).converged is False
+    assert scale_to_interval(pf, 4.0).converged is False
+    assert fit_fractional_sum(f, 1e-12, max_degree=3).converged is False
+    assert fit_fractional_sum(f, 1e-12).converged is True
+    assert PartialFraction(0.0, [1.0], [-1.0], 1e-12).converged is None
 
 
 def test_rank_deficient_warns():
@@ -119,6 +131,99 @@ def test_rank_deficient_warns():
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
         form = aaa_fit(x, y, 1e-30, max_degree=6)
     assert form.achieved_error <= 1e-14
+
+
+def whole_loewner_weights(form):
+    """Weights for the form's support points from the SVD of the whole
+    Loewner matrix: support rows deleted, columns equilibrated."""
+    x, y = form.grid, form.grid_values
+    zj, fj = form.support_points, form.support_values
+    rest = ~np.isin(x, zj)
+    loewner = (y[rest, None] - fj[None, :]) / (x[rest, None] - zj[None, :])
+    col_scale = np.linalg.norm(loewner, axis=0)
+    col_scale[col_scale == 0.0] = 1.0
+    _, _, vh = np.linalg.svd(loewner / col_scale, full_matrices=False)
+    return vh[-1] / col_scale
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+@pytest.mark.parametrize("alpha, beta, s, t", [
+    (1.0, 0.0, -0.5, -0.5),   # x**0.5
+    (1.0, 1e-2, -0.5, 0.5),   # 1/(x**-0.5 + 1e-2 x**0.5)
+    (1.0, 1e-3, -1.0, -1.0),  # x/(1 + 1e-3), exactly linear
+])
+def test_weights_match_whole_loewner_svd(alpha, beta, s, t, tol):
+    x, y = grid_of(FractionalSumFunction(alpha, beta, s, t, 1.0))
+    with warnings.catch_warnings():
+        # The linear target is rational of lower degree than its 2 nodes.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        form = aaa_fit(x, y, tol)
+    assert form.converged
+    assert np.all(np.diff(form.support_points) > 0)
+    ref = BarycentricForm(form.support_points, form.support_values,
+                          whole_loewner_weights(form), form.achieved_error,
+                          True, tol)
+    want = bary_eval(ref, x)
+    assert np.max(np.abs(bary_eval(form, x) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def scalar_newton_polish(poles, zj, wj, max_steps=10):
+    """Per-pole Newton on sum(w/(x-z)), stopping a pole at its first step
+    that does not decrease |denominator|."""
+    polished = np.array(poles, dtype=complex)
+    for k, pole in enumerate(polished):
+        current = pole
+        with np.errstate(divide="ignore", invalid="ignore"):
+            best_val = abs(np.sum(wj / (current - zj)))
+        for _ in range(max_steps):
+            diff = current - zj
+            if np.any(diff == 0):
+                break
+            den = np.sum(wj / diff)
+            dden = -np.sum(wj / diff**2)
+            if dden == 0 or not np.isfinite(den) or not np.isfinite(dden):
+                break
+            step = den / dden
+            candidate = current - step
+            cdiff = candidate - zj
+            if np.any(cdiff == 0):
+                break
+            cval = abs(np.sum(wj / cdiff))
+            if not np.isfinite(cval) or cval >= best_val:
+                break
+            current, best_val = candidate, cval
+            if abs(step) <= 4 * EPS * (abs(current) + np.finfo(float).tiny):
+                break
+        polished[k] = current
+    return polished
+
+
+@pytest.mark.parametrize("alpha, beta, s, t", [
+    (1.0, 1.0, -0.5, 0.5), (1e-2, 1.0, -1.0, 1.0), (1.0, 1e-6, 0.2, -0.8),
+])
+def test_polish_matches_scalar_newton(alpha, beta, s, t):
+    x, y = grid_of(normalize(FractionalSumFunction(alpha, beta, s, t, 1.0)).scaled)
+    form = aaa_fit(x, y, 1e-12)
+    zj, wj = form.support_points, form.weights
+    m = zj.size
+    arrow = np.diag(np.concatenate([[0.0], zj]))
+    arrow[0, 1:], arrow[1:, 0] = wj, 1.0
+    eigs = scipy.linalg.eigvals(arrow, np.diag(np.r_[0.0, np.ones(m)]))
+    eigs = eigs[np.isfinite(eigs)]
+    # Perturbed starts make Newton take several steps, overshoot and stop at
+    # different counts; a start on a support node must stay where it is.
+    rng = np.random.default_rng(3)
+    starts = np.concatenate([
+        eigs,
+        eigs * (1 + 10.0 ** rng.uniform(-8, -1, eigs.size)),
+        eigs + 1e-3j * np.abs(eigs),
+        zj[:2],
+    ])
+    got = _polish_poles(starts, zj, wj)
+    want = scalar_newton_polish(starts, zj, wj)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, starts)
+    assert np.array_equal(got[-2:], zj[:2])
 
 
 def test_invalid_inputs():
@@ -257,22 +362,30 @@ def test_denormalized_fit_approximates_original():
 def test_json_round_trip():
     c, p = 1.0 + 2.0j, -1.0 + 3.0j
     pf = PartialFraction(0.5, [c, np.conj(c), 2.0], [p, np.conj(p), -4.0], 1e-10,
-                         c1=0.125)
+                         c1=0.125, converged=True)
     data = partial_fraction_to_dict(pf)
     assert data["schema"].startswith("fracra.partial_fraction/")
     text = json.dumps(data)
     back = partial_fraction_from_dict(json.loads(text))
     assert back.c0 == pf.c0
     assert back.c1 == pf.c1
+    assert back.converged is True
     assert np.array_equal(back.poles, pf.poles)
     assert np.array_equal(back.residues, pf.residues)
     assert back.pole_audit.as_dict() == pf.pole_audit.as_dict()
 
-    # A file written before the linear term existed has no "c1".
+    unknown = PartialFraction(0.5, [2.0], [-4.0], 1e-10)
+    back = partial_fraction_from_dict(json.loads(json.dumps(
+        partial_fraction_to_dict(unknown))))
+    assert back.converged is None
+
+    # A file written before the linear term existed has neither "c1" nor
+    # "converged".
     old = json.loads(text)
-    del old["c1"]
+    del old["c1"], old["converged"]
     legacy = partial_fraction_from_dict(old)
     assert legacy.c1 == 0.0
+    assert legacy.converged is None
     assert legacy.c0 == pf.c0
     assert np.array_equal(legacy.poles, pf.poles)
 

@@ -105,8 +105,10 @@ def test_robustness_sweep_small_grid():
 
 
 def test_complexity_study_records():
+    # Best of 3: a single wall-clock sample of the setup time is at the mercy
+    # of machine load.
     records = complexity_study(mesh_grid=(32, 64, 128), tolerance_grid=(1e-8,),
-                               repeats=1)
+                               repeats=3)
     assert len(records) == 3
     assert all(not r.failure for r in records)
     assert all(r.setup_seconds < 0.1 for r in records)
