@@ -3,9 +3,8 @@
 The fitter picks support points where the current deviation is largest and
 solves for barycentric weights with the smallest singular vector of the
 (column-equilibrated) Loewner matrix restricted to the remaining samples.
-Each step appends one Cauchy and one Loewner column and zeroes the new
-support row in the earlier columns instead of rebuilding either matrix, and
-the weights come from the SVD of the m x m R factor of the Loewner matrix.
+Each step rebuilds both matrices in buffers allocated once per fit, and the
+weights come from the SVD of the m x m R factor of the Loewner matrix.
 Fitted interpolants are converted to the partial fraction form
 ``c0 + c1*x + sum(c_i / (x - p_i))`` whose poles drive the shifted-solve
 operators in :mod:`fracra.operator`; the linear term carries a pole of the
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -147,15 +146,15 @@ def aaa_fit(x, y, tolerance, max_degree=30):
     iterate seen is returned; ``converged`` is False when the target was
     missed.
 
-    The Cauchy and Loewner matrices are kept in preallocated arrays with one
-    column per support point; each step fills the new column and zeroes the
-    new support row in the earlier columns, which restricts both matrices to
-    the remaining samples without masking rows.  The weights are the last
-    right singular vector of the R factor of the column-equilibrated Loewner
-    matrix (``np.linalg.qr(..., mode="r")``), which has the singular values
-    and right singular vectors of the tall matrix.  If the equilibrated pass
-    misses the tolerance, a pass without equilibration runs and the better of
-    the two is kept.  The support points are returned in ascending order.
+    Each step rebuilds the Cauchy and Loewner matrices on the remaining
+    samples, in row-major buffers allocated once per pass.  The weights are
+    the last right singular vector of the m x m R factor of the
+    column-equilibrated Loewner matrix (``np.linalg.qr(..., mode="r")``),
+    which has the singular values and right singular vectors of the tall
+    matrix; its SVD needs no left singular vectors.  If the equilibrated
+    pass misses the tolerance, a pass without equilibration runs and the
+    better of the two is kept.  The support points are returned in
+    ascending order.
 
     A rank-deficient weight solve (the data is exactly rational of lower
     degree) is reported with a RuntimeWarning and the smallest singular vector
@@ -209,40 +208,42 @@ def aaa_fit(x, y, tolerance, max_degree=30):
 
 
 def _greedy_pass(x, y, target, max_degree, equilibrate):
-    # Column k holds the Cauchy and Loewner columns of the k-th support point.
-    # Support rows are zero in every column: zero rows change neither the
-    # singular values nor the right singular vectors, so no row is masked.
-    # The deviation is 0 once every sample is a support point.
-    cols = min(x.size, max_degree + 1)
-    cauchy = np.zeros((x.size, cols), order="F")
-    loewner = np.zeros((x.size, cols), order="F")
-    support = []
-    approx = np.full(x.size, y.mean())
+    # The matrices of the remaining samples are rebuilt in buffers allocated
+    # once (zeroed support rows would change the rounding of the BLAS sums).
+    n = x.size
+    steps = min(n, max_degree + 1)
+    cauchy_buf = np.empty(n * steps)
+    loewner_buf = np.empty(n * steps)
+    scaled_buf = np.empty(n * steps)
+    in_support = np.zeros(n, dtype=bool)
+    approx = np.full(n, y.mean())
     best = None
     history = []
     warned_degenerate = False
 
-    for m in range(1, cols + 1):
+    for m in range(1, steps + 1):
         # Greedy pick: argmax returns the first (smallest abscissa) on ties.
         j = int(np.argmax(np.abs(y - approx)))
-        cauchy[j, :m - 1] = 0.0
-        loewner[j, :m - 1] = 0.0
-        support.append(j)
-        with np.errstate(divide="ignore"):
-            column = 1.0 / (x - x[j])
-        column[support] = 0.0
-        cauchy[:, m - 1] = column
-        loewner[:, m - 1] = (y - y[j]) * column
+        in_support[j] = True
+        idx_s = np.flatnonzero(in_support)
+        idx_r = np.flatnonzero(~in_support)
+        zj, fj = x[idx_s], y[idx_s]
 
-        # The m x m R factor has the singular values and right singular
-        # vectors of the tall Loewner matrix; its SVD needs no U.
-        lw = loewner[:, :m]
+        cauchy = cauchy_buf[:idx_r.size * m].reshape(idx_r.size, m)
+        loewner = loewner_buf[:idx_r.size * m].reshape(idx_r.size, m)
+        np.subtract.outer(x[idx_r], zj, out=cauchy)
+        np.divide(1.0, cauchy, out=cauchy)
+        np.subtract.outer(y[idx_r], fj, out=loewner)
+        loewner *= cauchy
+        col_scale = np.ones(m)
         if equilibrate:
-            col_scale = np.linalg.norm(lw, axis=0)
+            col_scale = np.sqrt(np.einsum("ij,ij->j", loewner, loewner))
             col_scale[col_scale == 0.0] = 1.0
-            lw = lw / col_scale
-        r = np.linalg.qr(lw, mode="r")
-        _, sing, vh = np.linalg.svd(r)
+        # The scaled copy is column-major, as LAPACK works; its R factor keeps
+        # the singular values and right singular vectors, and needs no U.
+        scaled = scaled_buf[:idx_r.size * m].reshape(m, idx_r.size)
+        np.divide(loewner.T, col_scale[:, None], out=scaled)
+        _, sing, vh = np.linalg.svd(np.linalg.qr(scaled.T, mode="r"))
         wj = vh[-1, :]
         if equilibrate:
             wj = wj / col_scale
@@ -256,22 +257,19 @@ def _greedy_pass(x, y, target, max_degree, equilibrate):
             )
             warned_degenerate = True
 
-        fj = y[support]
+        approx = y.copy()
         with np.errstate(divide="ignore", invalid="ignore"):
-            approx = (cauchy[:, :m] @ (wj * fj)) / (cauchy[:, :m] @ wj)
-        approx[support] = fj
+            approx[idx_r] = (cauchy @ (wj * fj)) / (cauchy @ wj)
 
         err = np.max(np.abs(y - approx))
         err = float(err) if np.isfinite(err) else float("inf")
-        if best is None or err < best[2]:
-            best = (list(support), wj, err)
+        if best is None or err < best[3]:
+            best = (zj, fj, wj, err)
         history.append(min(err, history[-1]) if history else err)
         if err <= target:
             break
 
-    idx, wj, err = best
-    order = np.argsort(idx)
-    return (x[idx][order], y[idx][order], wj[order], err), history
+    return best, history
 
 
 @dataclass(frozen=True)
@@ -666,32 +664,18 @@ def scale_to_interval(pf, rho):
     """
     if rho <= 0:
         raise ValueError("interval scaling factor must be positive")
-    return PartialFraction(
-        pf.c0,
-        pf.residues * rho,
-        pf.poles * rho,
-        pf.tolerance,
-        fit_error=pf.fit_error,
-        validation_error=pf.validation_error,
-        c1=pf.c1 / rho,
-        converged=pf.converged,
-    )
+    # The pole audit is relative to the pole scale, so it is taken afresh.
+    return replace(pf, residues=pf.residues * rho, poles=pf.poles * rho,
+                   c1=pf.c1 / rho, pole_audit=None)
 
 
 def denormalize(pf, leading_weight):
     """Undo the unit-leading-weight rescaling: divide c0, c1 and residues."""
     if leading_weight <= 0:
         raise ValueError("leading_weight must be positive")
-    return PartialFraction(
-        pf.c0 / leading_weight,
-        pf.residues / leading_weight,
-        pf.poles.copy(),
-        pf.tolerance,
-        fit_error=pf.fit_error,
-        validation_error=pf.validation_error,
-        c1=pf.c1 / leading_weight,
-        converged=pf.converged,
-    )
+    return replace(pf, c0=pf.c0 / leading_weight,
+                   residues=pf.residues / leading_weight,
+                   poles=pf.poles.copy(), c1=pf.c1 / leading_weight)
 
 
 def fit_fractional_sum(func, tolerance, max_degree=30, n_samples=2000,
