@@ -9,21 +9,28 @@ which applies the reciprocal symbol of the pencil through one solve per pole;
 the linear term reuses the mass solve of the constant term and adds one
 matrix product and one more mass solve.
 
-Every operator orders the unknowns once by reverse Cuthill-McKee on the
-pattern of |A| + |M| and keeps the lower bands of A and M in that order.  The
-definite shifts are factorized by LAPACK banded Cholesky (``pbtrf``) straight
-from those bands, and the factorization is their definiteness check:
+The definite shifts are factorized from stored pieces of A and M, and the
+factorization is their definiteness check:
 
 * the mass matrix and every real nonpositive pole give the SPD matrix
   A - p M;
 * a real pole above the pencil's ``rho_bound`` gives a negative definite
   A - p M, so p M - A is factorized and the solve negated.
 
-A factorization costs O(n kd^2) and a solve O(n kd) for half-bandwidth kd,
-which is 2 for every 1D pencil and about the number of cells per side on the
-unit square, where large meshes factorize slower than sparse LU would.  The
-indefinite shifts, real poles in (0, rho_bound] and complex conjugate pairs,
-are factorized by sparse LU (``splu``) of the reordered matrix.
+Which pieces are stored depends on the pattern of |A| + |M|.  Every 1D pencil
+is tridiagonal once its last unknown is removed (the Dirichlet interval
+exactly, the closed curve apart from the unknown that closes the ring).  Such
+a pencil keeps the diagonals and the last row of A and M in its own
+numbering; each definite shift is factorized by LAPACK tridiagonal LDL^T
+(``pttrf``) of the leading block, and the last unknown is eliminated as a
+one-node border through its Schur complement.  Factorization and solve both
+cost O(n).  Every other pencil is ordered once by reverse Cuthill-McKee and
+keeps the lower bands of A and M in that order; its definite shifts are
+factorized by LAPACK banded Cholesky (``pbtrf``) at O(n kd^2), with a solve
+at O(n kd) for half-bandwidth kd, which is about the number of cells per side
+on the unit square, where large meshes factorize slower than sparse LU would.
+The indefinite shifts, real poles in (0, rho_bound] and complex conjugate
+pairs, are factorized by sparse LU (``splu``) on either path.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
@@ -52,6 +59,34 @@ class FactorizationError(RuntimeError):
     """A shifted matrix could not be factorized (or is not definite where required)."""
 
 
+def _check_pivots(pivots, label):
+    """A smallest pivot at most n*eps times the largest is numerically singular."""
+    if pivots.min() <= pivots.size * _EPS * pivots.max():
+        raise FactorizationError(
+            f"shifted matrix for {label} is numerically singular "
+            f"(pivot ratio {pivots.min() / pivots.max():.3e})"
+        )
+
+
+def _tridiagonal_but_last(pattern):
+    """Whether the pattern with its last unknown removed is tridiagonal.
+
+    The leading block needs at least two unknowns, the least LAPACK's
+    tridiagonal wrappers accept.
+    """
+    n = pattern.shape[0]
+    coo = pattern.tocoo()
+    inner = (coo.row < n - 1) & (coo.col < n - 1)
+    return n >= 3 and bool(np.all(np.abs(coo.row[inner] - coo.col[inner]) <= 1))
+
+
+def _bordered_tridiagonal(matrix):
+    """Diagonal and subdiagonal of the leading block, the last row without its
+    corner, and the corner (as a length-1 array)."""
+    diag = matrix.diagonal()
+    return diag[:-1], matrix.diagonal(-1)[:-1], matrix[-1, :-1].toarray().ravel(), diag[-1:]
+
+
 def _half_bandwidth(matrix):
     coo = matrix.tocoo()
     return int(np.max(coo.row - coo.col, initial=0))
@@ -66,17 +101,67 @@ def _lower_band(matrix, kd):
     return band
 
 
+class _BorderedTridiagonal:
+    """LDL^T of an SPD matrix [[T, b], [b^T, c]] with T tridiagonal.
+
+    ``pttrf`` factorizes T = L D L^T; the border is eliminated through
+    w = T^{-1} b and the Schur pivot s = c - b.w, so a solve is one dot
+    product with w and one ``pttrs`` on the leading block.  A failed
+    ``pttrf``, or a smallest of the pivots D and s at most n*eps times the
+    largest, raises FactorizationError: a singular ring fails at s alone.
+
+    Entries of E and w below the smallest normal double are set to zero.  On
+    a strongly shifted ring w decays geometrically from both ends of the
+    leading block, and at a decay ratio above 1/2 gradual underflow sticks at
+    the smallest subnormal instead of reaching zero, so without the flush
+    most of w would be subnormal and every solve several times slower; the
+    border solve itself still runs on them once.  Only the nonzeros of b are
+    kept, as (index, value) pairs.
+    """
+
+    kind = "tridiagonal"
+
+    def __init__(self, d, e, b, c, label):
+        d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise FactorizationError(
+                f"shifted matrix for {label} is not positive definite (pttrf info {info})"
+            )
+        e[np.abs(e) < _TINY] = 0.0
+        w, _info = dpttrs(d, e, b)
+        w[np.abs(w) < _TINY] = 0.0
+        s = float(c[0] - b @ w)
+        _check_pivots(np.append(d, s), label)
+        self.d, self.e, self.w, self.s = d, e, w, s
+        index = np.flatnonzero(b)
+        self.border = list(zip(index.tolist(), b[index].tolist()))
+        self.nnz = int(np.count_nonzero(d) + np.count_nonzero(e) + np.count_nonzero(w)) + 1
+
+    def solve(self, rhs):
+        # b.T^{-1} r = w.r because T is symmetric, so the last unknown comes
+        # first and the border only patches its few entries of the right-hand
+        # side of the one pttrs, which overwrites the contiguous head in place.
+        x = rhs.copy()
+        head = x[:-1]
+        last = (x[-1] - self.w @ head) / self.s
+        for i, value in self.border:
+            head[i] -= last * value
+        dpttrs(self.d, self.e, head, overwrite_b=1)
+        x[-1] = last
+        return x
+
+
 class _BandCholesky:
     """Banded Cholesky factor L of an SPD matrix given by its lower bands.
 
     A failed pivot, or a smallest pivot L_ii^2 at most n*eps times the
     largest, raises FactorizationError.  Factor entries below the smallest
-    normal double are set to zero: on a closed curve in reverse Cuthill-McKee
-    order the fill coupling the two arms of the ordering decays geometrically
-    through the subnormal range, and subnormal operands make every later
-    solve several times slower, while the flush moves the solution by less
-    than 1e-300 relative.
+    normal double are set to zero: fill that decays geometrically through
+    the subnormal range makes every later solve several times slower, while
+    the flush moves the solution by less than 1e-300 relative.
     """
+
+    kind = "banded"
 
     def __init__(self, band, label):
         factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
@@ -84,12 +169,7 @@ class _BandCholesky:
             raise FactorizationError(
                 f"shifted matrix for {label} is not positive definite (pbtrf info {info})"
             )
-        pivots = factor[0] ** 2
-        if pivots.min() <= factor.shape[1] * _EPS * pivots.max():
-            raise FactorizationError(
-                f"shifted matrix for {label} is numerically singular "
-                f"(pivot ratio {pivots.min() / pivots.max():.3e})"
-            )
+        _check_pivots(factor[0] ** 2, label)
         factor[np.abs(factor) < _TINY] = 0.0
         self.factor = factor
         self.nnz = int(np.count_nonzero(factor))
@@ -113,10 +193,12 @@ class RationalOperator:
     Conjugate pole pairs share one complex factorization; the pair contributes
     2*Re(c*w) so the output stays real.  A linear coefficient c1 is realized
     as c1 * M^{-1} A y with y = M^{-1} r the mass solve the constant term
-    already needs, and costs nothing when c1 = 0.  Every term is accumulated
-    in the reverse Cuthill-McKee order of the pencil, so an apply permutes its
-    input once and its output once.  Contributions are accumulated in
-    ascending |pole| order, which makes repeated applies bitwise reproducible.
+    already needs, and costs nothing when c1 = 0.  A pencil that is
+    tridiagonal apart from its last unknown is solved in its own numbering;
+    any other is solved in its reverse Cuthill-McKee order, so an apply
+    permutes its input once and its output once.  Contributions are
+    accumulated in place in ascending |pole| order, which makes repeated
+    applies bitwise reproducible.
 
     Only real poles in (0, rho_bound] warn: their shifted matrix may be
     indefinite, so it is solved by sparse LU without a definiteness check.  A
@@ -127,14 +209,25 @@ class RationalOperator:
     def __init__(self, pf, pencil):
         self.pf = pf
         self.pencil = pencil
-        pattern = (abs(pencil.A) + abs(pencil.M)).tocsr()
-        self._perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-        A = pencil.A.tocsr()[self._perm][:, self._perm]
-        M = pencil.M.tocsr()[self._perm][:, self._perm]
+        pattern = abs(pencil.A) + abs(pencil.M)
+        if _tridiagonal_but_last(pattern):
+            self._perm = None
+            A, M = pencil.A, pencil.M
+            a_parts, m_parts = _bordered_tridiagonal(A), _bordered_tridiagonal(M)
+            definite = _BorderedTridiagonal
+        else:
+            self._perm = reverse_cuthill_mckee(pattern.tocsr(), symmetric_mode=True)
+            A = pencil.A.tocsr()[self._perm][:, self._perm]
+            M = pencil.M.tocsr()[self._perm][:, self._perm]
+            kd = max(_half_bandwidth(A), _half_bandwidth(M))
+            a_parts, m_parts = (_lower_band(A, kd),), (_lower_band(M, kd),)
+            definite = _BandCholesky
         self._A = A
-        kd = max(_half_bandwidth(A), _half_bandwidth(M))
-        a_band, m_band = _lower_band(A, kd), _lower_band(M, kd)
         self.apply_count = 0
+
+        def shift(a_coef, m_coef):
+            """The stored pieces of a_coef * A + m_coef * M."""
+            return [a_coef * a + m_coef * m for a, m in zip(a_parts, m_parts)]
 
         units = []
         for k in pf._real_idx:
@@ -145,9 +238,9 @@ class RationalOperator:
 
         rho = pencil.rho_bound
         tic = time.perf_counter()
-        self._mass_solver = _BandCholesky(m_band.copy(order="F"), "mass matrix")
+        self._mass_solver = definite(*shift(0.0, 1.0), "mass matrix")
         factor_seconds = [time.perf_counter() - tic]
-        factor_nnz = [self._mass_solver.nnz]
+        solvers = [self._mass_solver]
         # Each term is (kind, pole, weight, solver); the weight is the residue,
         # negated where the solver factorizes p M - A instead of A - p M.
         self._terms = []
@@ -158,9 +251,9 @@ class RationalOperator:
             if kind == "pair":
                 solver = _sparse_lu(A.astype(complex) - pole * M, label)
             elif pole <= 0:
-                solver = _BandCholesky(a_band - pole * m_band, label)
+                solver = definite(*shift(1.0, -pole), label)
             elif 0 < rho < pole:
-                solver = _BandCholesky(pole * m_band - a_band, label)
+                solver = definite(*shift(-1.0, pole), label)
                 weight = -residue
             else:
                 warnings.warn(
@@ -171,9 +264,10 @@ class RationalOperator:
                 solver = _sparse_lu(A - pole * M, label)
             self._terms.append((kind, pole, weight, solver))
             factor_seconds.append(time.perf_counter() - tic)
-            factor_nnz.append(int(solver.nnz))
+            solvers.append(solver)
         self.factor_seconds = factor_seconds
-        self.factor_nnz = factor_nnz
+        self.factor_nnz = [int(s.nnz) for s in solvers]
+        self.shift_solvers = [getattr(s, "kind", "lu") for s in solvers]
         self.shift_seconds = np.zeros(len(self._terms) + 1)
 
     @property
@@ -199,41 +293,44 @@ class RationalOperator:
         r = np.asarray(r, dtype=float)
         if r.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}")
-        rp = r[self._perm]
+        rp = r if self._perm is None else r[self._perm]
         tic = time.perf_counter()
         c0, c1 = self.pf.c0, self.pf.c1
         if c0 != 0.0 or c1 != 0.0:
             y = self._mass_solver.solve(rp)
             z = c0 * y
             if c1 != 0.0:
-                z = z + c1 * self._mass_solver.solve(self._A @ y)
+                z += c1 * self._mass_solver.solve(self._A @ y)
         else:
             z = np.zeros_like(rp)
         self.shift_seconds[0] += time.perf_counter() - tic
         for k, (kind, _pole, weight, solver) in enumerate(self._terms):
             tic = time.perf_counter()
             if kind == "real":
-                z = z + weight * solver.solve(rp)
+                z += weight * solver.solve(rp)
             else:
-                w = solver.solve(rp.astype(complex))
-                z = z + 2.0 * np.real(weight * w)
+                z += 2.0 * np.real(weight * solver.solve(rp.astype(complex)))
             self.shift_seconds[k + 1] += time.perf_counter() - tic
         self.apply_count += 1
+        if self._perm is None:
+            return z
         out = np.empty_like(z)
         out[self._perm] = z
         return out
 
     @property
     def telemetry(self):
-        """Apply counters plus per-shift factorization time and stored factor
-        entries; the per-shift lists share the order of ``shift_seconds``
-        (the mass matrix first)."""
+        """Apply counters plus per-shift factorization time, stored factor
+        entries and solver (``"tridiagonal"``, ``"banded"`` or ``"lu"``); the
+        per-shift lists share the order of ``shift_seconds`` (the mass matrix
+        first)."""
         return {
             "apply_count": self.apply_count,
             "solves_per_apply": self.solves_per_apply,
             "shift_seconds": self.shift_seconds.tolist(),
             "factor_seconds": list(self.factor_seconds),
             "factor_nnz": list(self.factor_nnz),
+            "shift_solvers": list(self.shift_solvers),
         }
 
 

@@ -176,11 +176,21 @@ def test_apply_count_telemetry():
     assert op.apply_count == 2
     telemetry = op.telemetry
     assert telemetry["solves_per_apply"] == 2
-    # per shift, mass matrix first: apply time, factorization time and fill
-    for key in ("shift_seconds", "factor_seconds", "factor_nnz"):
+    # per shift, mass matrix first: apply time, factorization time, fill and
+    # solver
+    for key in ("shift_seconds", "factor_seconds", "factor_nnz", "shift_solvers"):
         assert len(telemetry[key]) == 2
     assert all(t >= 0 for t in telemetry["factor_seconds"])
     assert all(nnz >= pencil.n_c for nnz in telemetry["factor_nnz"])
+    assert telemetry["shift_solvers"] == ["tridiagonal", "tridiagonal"]
+
+    # a wide pencil is banded; a positive pole below rho_bound and a complex
+    # pair (ascending |pole| order) are sparse LU
+    c, p = 0.5 + 0.25j, -2.0 + 1.0j
+    pf = PartialFraction(0.0, [1.0, c, np.conj(c)], [0.5, p, np.conj(p)], 1e-12)
+    with pytest.warns(RuntimeWarning, match="positive pole"):
+        op = RationalOperator(pf, assemble_unit_square(6))
+    assert op.telemetry["shift_solvers"] == ["banded", "lu", "lu"]
 
 
 def test_spd_audit_positive_operator():
@@ -220,13 +230,21 @@ def _no_sparse_lu(*_args, **_kwargs):
     (lambda: assemble_unit_square(8), 3),
 ])
 def test_banded_apply_matches_dense_spectral_apply(make, kd_min, monkeypatch):
-    # The mass matrix and nonpositive poles are banded Cholesky shifts in
-    # reverse Cuthill-McKee order; none of them may fall back to sparse LU.
+    # The mass matrix and nonpositive poles are definite shifts; none of them
+    # may fall back to sparse LU.  kd_min is the half-bandwidth of the pencil
+    # in reverse Cuthill-McKee order: the 1D pencils (1 and 2) are tridiagonal
+    # apart from their last unknown and take the bordered LDL^T path instead,
+    # the unit square takes the banded path at least that wide.
     monkeypatch.setattr(operator_module, "splu", _no_sparse_lu)
     pencil = make()
     pf = PartialFraction(0.2, [1.0, 0.5, 3.0], [-2.0, 0.0, -50.0], 1e-12)
     op = RationalOperator(pf, pencil)
-    assert op._mass_solver.factor.shape[0] - 1 >= kd_min
+    if pencil.spatial_dimension == 1:
+        assert op.telemetry["shift_solvers"] == ["tridiagonal"] * 4
+        assert op._perm is None
+    else:
+        assert op.telemetry["shift_solvers"] == ["banded"] * 4
+        assert op._mass_solver.factor.shape[0] - 1 >= kd_min
     r = np.random.default_rng(10).standard_normal(pencil.n_c)
     symbol = lambda lam: 0.2 + 1.0 / (lam + 2.0) + 0.5 / lam + 3.0 / (lam + 50.0)
     ref = dense_inverse_fractional_apply(pencil, symbol, r)
@@ -259,19 +277,94 @@ def test_negative_definite_pencil_reports_pole():
         RationalOperator(pf, pencil)
 
 
+def _stored_arrays(solver):
+    """Every array a definite solver keeps for its solves."""
+    if solver.kind == "banded":
+        return [solver.factor]
+    return [solver.d, solver.e, solver.w, np.array([solver.s])]
+
+
+def _circulant_solve(n, pole, r):
+    """(A - pole M)^{-1} r on assemble_interface(n), or M^{-1} r for pole None.
+
+    A = K + M with K and M the circulant P1 stiffness and mass of the ring, so
+    one FFT diagonalizes every shift exactly.
+    """
+    h = 1.0 / n
+    cos = np.cos(2.0 * np.pi * np.arange(n) / n)
+    lam_m = h * (4.0 + 2.0 * cos) / 6.0
+    lam_k = (2.0 - 2.0 * cos) / h
+    symbol = lam_m if pole is None else lam_k + (1.0 - pole) * lam_m
+    return np.fft.ifft(np.fft.fft(r) / symbol).real
+
+
 def test_band_factors_hold_no_subnormal_entries():
-    # On a ring in reverse Cuthill-McKee order the factor's coupling between
-    # the two ends of the ordering decays through the subnormal range; those
-    # entries are flushed to zero, which keeps every solve at full speed.
-    pencil = assemble_interface(1024)
-    pf = PartialFraction(1.0, [1.0, 1.0], [-1.0, -1e6], 1e-12)
-    op = RationalOperator(pf, pencil)
-    factors = [op._mass_solver.factor] + [solver.factor for *_, solver in op._terms]
+    # A strongly shifted ring's border solve w = T^-1 b decays geometrically
+    # from both ends of the leading block through the subnormal range.  A ring
+    # numbered at random is not tridiagonal apart from its last unknown, so it
+    # takes the banded path in reverse Cuthill-McKee order, where the fill
+    # coupling the two arms of the ordering does the same.  Stored entries
+    # below the smallest normal double are flushed to zero, which keeps every
+    # solve at full speed.
     tiny = np.finfo(float).tiny
-    for factor in factors:
-        assert not np.any((factor != 0.0) & (np.abs(factor) < tiny))
-    assert op.telemetry["factor_nnz"] == [int(np.count_nonzero(f)) for f in factors]
-    r = np.random.default_rng(12).standard_normal(pencil.n_c)
-    symbol = lambda lam: 1.0 + 1.0 / (lam + 1.0) + 1.0 / (lam + 1e6)
-    ref = dense_inverse_fractional_apply(pencil, symbol, r)
-    assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
+    poles = [-1.0, -1e6, -1e11]
+    pf = PartialFraction(1.0, [1.0] * 3, poles, 1e-12)
+    ring, base = assemble_interface(4096), assemble_interface(1024)
+    perm = np.random.default_rng(14).permutation(base.n_c)
+    scrambled = OperatorPencil(base.A[perm][:, perm], base.M[perm][:, perm],
+                               spatial_dimension=1)
+    for pencil, order, kind in ((ring, np.arange(ring.n_c), "tridiagonal"),
+                                (scrambled, perm, "banded")):
+        op = RationalOperator(pf, pencil)
+        assert set(op.telemetry["shift_solvers"]) == {kind}
+        solvers = [op._mass_solver] + [solver for *_, solver in op._terms]
+        stored = [_stored_arrays(solver) for solver in solvers]
+        for array in (a for arrays in stored for a in arrays):
+            assert not np.any((array != 0.0) & (np.abs(array) < tiny))
+        assert op.telemetry["factor_nnz"] == [
+            sum(int(np.count_nonzero(a)) for a in arrays) for arrays in stored]
+        r = np.random.default_rng(12).standard_normal(pencil.n_c)
+        ring_r = np.empty_like(r)
+        ring_r[order] = r
+        ref = sum(_circulant_solve(pencil.n_c, p, ring_r) for p in [None] + poles)[order]
+        assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the strongest shift's border vector on the ring decayed below tiny
+    ring_op = RationalOperator(pf, ring)
+    assert np.count_nonzero(ring_op._terms[-1][3].w) < ring.n_c - 1
+
+
+@pytest.mark.parametrize("pole", [None, -1e-3, -1.0, -1e3, -1e6, -1e9, -1e11, "2rho"])
+def test_ring_shifts_match_circulant_fft_solve(pole, monkeypatch):
+    # Every definite shift of a 4096-cell ring, against the exact FFT solve of
+    # its circulant matrix; none of them may fall back to sparse LU.
+    monkeypatch.setattr(operator_module, "splu", _no_sparse_lu)
+    pencil = assemble_interface(4096)
+    if pole == "2rho":
+        pole = 2.0 * pencil.rho_bound
+    if pole is None:
+        pf = PartialFraction(1.0, [], [], 1e-12)
+    else:
+        pf = PartialFraction(0.0, [1.0], [pole], 1e-12)
+    op = RationalOperator(pf, pencil)
+    assert set(op.telemetry["shift_solvers"]) == {"tridiagonal"}
+    r = np.random.default_rng(13).standard_normal(pencil.n_c)
+    ref = _circulant_solve(pencil.n_c, pole, r)
+    bound = 1e-12 if pole is None or abs(pole) >= 1e6 else 1e-7
+    assert np.linalg.norm(op.apply(r) - ref) <= bound * np.linalg.norm(ref)
+
+
+def test_singular_ring_fails_at_the_schur_pivot():
+    # The periodic stiffness without its last unknown is definite, so pttrf
+    # succeeds; the singularity shows only in the border's Schur pivot.
+    pencil = assemble_interval(64, periodic=True)
+    pf = PartialFraction(0.0, [1.0], [0.0], 1e-12)
+    with pytest.raises(FactorizationError, match=r"pole 0\.0+e\+00 is numerically singular"):
+        RationalOperator(pf, pencil)
+
+
+def test_negative_ring_fails_in_pttrf():
+    base = assemble_interface(64)
+    pencil = OperatorPencil(-base.A, base.M, spatial_dimension=1)
+    pf = PartialFraction(0.0, [1.0], [0.0], 1e-12)
+    with pytest.raises(FactorizationError, match=r"pole 0\.0+e\+00 .*pttrf info 1\)"):
+        RationalOperator(pf, pencil)
