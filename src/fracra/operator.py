@@ -23,18 +23,23 @@ exactly, the closed curve apart from the unknown that closes the ring).  Such
 a pencil keeps the diagonals and the last row of A and M in its own
 numbering; each definite shift is factorized by LAPACK tridiagonal LDL^T
 (``pttrf``) of the leading block, and the last unknown is eliminated as a
-one-node border through its Schur complement.  Factorization and solve both
-cost O(n).  Every other pencil is ordered once by reverse Cuthill-McKee and
-keeps the lower bands of A and M in that order; its definite shifts are
-factorized by LAPACK banded Cholesky (``pbtrf``) at O(n kd^2), with a solve
-at O(n kd) for half-bandwidth kd, which is about the number of cells per side
-on the unit square, where large meshes factorize slower than sparse LU would.
+one-node border through its Schur complement.  The border vector T^{-1} b is
+solved on two end blocks of T that reach just past its decay below the
+smallest normal double, or on the whole of T when the blocks would cover it.
+Factorization and solve both cost O(n).  Every other pencil is ordered once
+by reverse Cuthill-McKee and keeps the lower bands of A and M in that order;
+its definite shifts are factorized by LAPACK banded Cholesky (``pbtrf``) at
+O(n kd^2), with a solve at O(n kd) for half-bandwidth kd, which is about the
+number of cells per side on the unit square, where large meshes factorize
+slower than sparse LU would.
 The indefinite shifts, real poles in (0, rho_bound] and complex conjugate
 pairs, are factorized by sparse LU (``splu``) on either path.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -53,18 +58,20 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+_LOG_TINY = math.log(_TINY)
 
 
 class FactorizationError(RuntimeError):
     """A shifted matrix could not be factorized (or is not definite where required)."""
 
 
-def _check_pivots(pivots, label):
-    """A smallest pivot at most n*eps times the largest is numerically singular."""
-    if pivots.min() <= pivots.size * _EPS * pivots.max():
+def _check_pivots(smallest, largest, count, label):
+    """A smallest of ``count`` pivots at most count*eps times the largest is
+    numerically singular."""
+    if smallest <= count * _EPS * largest:
         raise FactorizationError(
             f"shifted matrix for {label} is numerically singular "
-            f"(pivot ratio {pivots.min() / pivots.max():.3e})"
+            f"(pivot ratio {smallest / largest:.3e})"
         )
 
 
@@ -80,11 +87,12 @@ def _tridiagonal_but_last(pattern):
     return n >= 3 and bool(np.all(np.abs(coo.row[inner] - coo.col[inner]) <= 1))
 
 
-def _bordered_tridiagonal(matrix):
-    """Diagonal and subdiagonal of the leading block, the last row without its
-    corner, and the corner (as a length-1 array)."""
+def _bordered_tridiagonal(matrix, index):
+    """Diagonal and subdiagonal of the leading block, the last row at the
+    border columns ``index``, and the corner (as a length-1 array)."""
     diag = matrix.diagonal()
-    return diag[:-1], matrix.diagonal(-1)[:-1], matrix[-1, :-1].toarray().ravel(), diag[-1:]
+    border = matrix[-1, :-1].toarray().ravel()[index]
+    return diag[:-1], matrix.diagonal(-1)[:-1], border, diag[-1:]
 
 
 def _half_bandwidth(matrix):
@@ -105,37 +113,67 @@ class _BorderedTridiagonal:
     """LDL^T of an SPD matrix [[T, b], [b^T, c]] with T tridiagonal.
 
     ``pttrf`` factorizes T = L D L^T; the border is eliminated through
-    w = T^{-1} b and the Schur pivot s = c - b.w, so a solve is one dot
-    product with w and one ``pttrs`` on the leading block.  A failed
-    ``pttrf``, or a smallest of the pivots D and s at most n*eps times the
-    largest, raises FactorizationError: a singular ring fails at s alone.
+    w = T^{-1} b and the Schur pivot s = c - b.w, so a solve is a dot product
+    with the stored entries of w and one ``pttrs`` on the leading block.  A
+    failed ``pttrf``, or a smallest of the pivots D and s at most n*eps times
+    the largest, raises FactorizationError: a singular ring fails at s alone.
+
+    b is given by its nonzeros, the values ``b`` at the positions ``index``
+    of the leading block.  On a 1D pencil they sit at the ends of T, and w
+    decays geometrically away from them at a ratio bounded by the largest
+    multiplier |E|, so w is solved on two end blocks of k unknowns, k first
+    set so that |E|^k falls below the smallest normal double and large enough
+    that every border position lies in a block.  D[:k], E[:k-1] is the factor
+    of the leading k x k block of T, and D[m-k:], E[m-k:] solve T exactly for
+    a right-hand side that vanishes above the tail block.  The blocks are kept
+    if both inner entries are below the smallest normal double, and k doubles
+    otherwise; once the blocks would cover T (2k >= m), the last turn solves w
+    on the whole of T.  The stored w is the blocks, or the whole vector.
 
     Entries of E and w below the smallest normal double are set to zero.  On
-    a strongly shifted ring w decays geometrically from both ends of the
-    leading block, and at a decay ratio above 1/2 gradual underflow sticks at
-    the smallest subnormal instead of reaching zero, so without the flush
-    most of w would be subnormal and every solve several times slower; the
-    border solve itself still runs on them once.  Only the nonzeros of b are
-    kept, as (index, value) pairs.
+    a strongly shifted ring the decay of w from each end reaches the subnormal
+    range, where at a decay ratio above 1/2 gradual underflow sticks at the
+    smallest subnormal instead of reaching zero; the end blocks stop just past
+    the underflow, and the flush keeps subnormals out of every solve.
     """
 
     kind = "tridiagonal"
 
-    def __init__(self, d, e, b, c, label):
+    def __init__(self, index, d, e, b, c, label):
         d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise FactorizationError(
                 f"shifted matrix for {label} is not positive definite (pttrf info {info})"
             )
-        e[np.abs(e) < _TINY] = 0.0
-        w, _info = dpttrs(d, e, b)
-        w[np.abs(w) < _TINY] = 0.0
-        s = float(c[0] - b @ w)
-        _check_pivots(np.append(d, s), label)
-        self.d, self.e, self.w, self.s = d, e, w, s
-        index = np.flatnonzero(b)
-        self.border = list(zip(index.tolist(), b[index].tolist()))
-        self.nnz = int(np.count_nonzero(d) + np.count_nonzero(e) + np.count_nonzero(w)) + 1
+        abs_e = np.abs(e)
+        e[abs_e < _TINY] = 0.0
+        m = d.size
+        self.border = list(zip(index, b.tolist()))
+
+        def block_solve(lo, hi):
+            rhs = np.zeros(hi - lo)
+            for i, value in self.border:
+                if lo <= i < hi:
+                    rhs[i - lo] = value
+            return dpttrs(d[lo:hi], e[lo:hi - 1], rhs, overwrite_b=1)[0]
+
+        ratio = float(abs_e.max())
+        k = m if ratio >= 1.0 else 2 + int(_LOG_TINY / math.log(max(ratio, _TINY)))
+        k = max([k] + [min(i, m - 1 - i) + 1 for i in index])
+        while True:
+            spans = [(0, m)] if 2 * k >= m else [(0, k), (m - k, m)]
+            blocks = [(lo, block_solve(lo, hi)) for lo, hi in spans]
+            if len(blocks) == 1 or max(abs(blocks[0][1][-1]), abs(blocks[1][1][0])) < _TINY:
+                break
+            k *= 2
+        for _lo, w in blocks:
+            w[np.abs(w) < _TINY] = 0.0
+        s = float(c[0] - sum(value * w[i - lo] for i, value in self.border
+                             for lo, w in blocks if lo <= i < lo + w.size))
+        _check_pivots(min(d.min(), s), max(d.max(), s), m + 1, label)
+        self.d, self.e, self.w_blocks, self.s = d, e, blocks, s
+        self.nnz = int(np.count_nonzero(d) + np.count_nonzero(e)
+                       + sum(np.count_nonzero(w) for _lo, w in blocks)) + 1
 
     def solve(self, rhs):
         # b.T^{-1} r = w.r because T is symmetric, so the last unknown comes
@@ -143,7 +181,10 @@ class _BorderedTridiagonal:
         # side of the one pttrs, which overwrites the contiguous head in place.
         x = rhs.copy()
         head = x[:-1]
-        last = (x[-1] - self.w @ head) / self.s
+        last = x[-1]
+        for lo, w in self.w_blocks:
+            last -= w @ head[lo:lo + w.size]
+        last /= self.s
         for i, value in self.border:
             head[i] -= last * value
         dpttrs(self.d, self.e, head, overwrite_b=1)
@@ -169,7 +210,8 @@ class _BandCholesky:
             raise FactorizationError(
                 f"shifted matrix for {label} is not positive definite (pbtrf info {info})"
             )
-        _check_pivots(factor[0] ** 2, label)
+        pivots = factor[0] ** 2
+        _check_pivots(pivots.min(), pivots.max(), pivots.size, label)
         factor[np.abs(factor) < _TINY] = 0.0
         self.factor = factor
         self.nnz = int(np.count_nonzero(factor))
@@ -213,8 +255,9 @@ class RationalOperator:
         if _tridiagonal_but_last(pattern):
             self._perm = None
             A, M = pencil.A, pencil.M
-            a_parts, m_parts = _bordered_tridiagonal(A), _bordered_tridiagonal(M)
-            definite = _BorderedTridiagonal
+            index = np.flatnonzero(pattern[-1, :-1].toarray())
+            a_parts, m_parts = _bordered_tridiagonal(A, index), _bordered_tridiagonal(M, index)
+            definite = functools.partial(_BorderedTridiagonal, index.tolist())
         else:
             self._perm = reverse_cuthill_mckee(pattern.tocsr(), symmetric_mode=True)
             A = pencil.A.tocsr()[self._perm][:, self._perm]
@@ -225,9 +268,18 @@ class RationalOperator:
         self._A = A
         self.apply_count = 0
 
-        def shift(a_coef, m_coef):
-            """The stored pieces of a_coef * A + m_coef * M."""
-            return [a_coef * a + m_coef * m for a, m in zip(a_parts, m_parts)]
+        def shift(a_sign, m_coef):
+            """The stored pieces of a_sign * A + m_coef * M for a_sign in
+            {0, 1, -1}, one new array each."""
+            pieces = []
+            for a, m in zip(a_parts, m_parts):
+                x = m_coef * m
+                if a_sign > 0:
+                    x += a
+                elif a_sign < 0:
+                    x -= a
+                pieces.append(x)
+            return pieces
 
         units = []
         for k in pf._real_idx:
@@ -238,7 +290,7 @@ class RationalOperator:
 
         rho = pencil.rho_bound
         tic = time.perf_counter()
-        self._mass_solver = definite(*shift(0.0, 1.0), "mass matrix")
+        self._mass_solver = definite(*shift(0, 1.0), "mass matrix")
         factor_seconds = [time.perf_counter() - tic]
         solvers = [self._mass_solver]
         # Each term is (kind, pole, weight, solver); the weight is the residue,
@@ -251,9 +303,9 @@ class RationalOperator:
             if kind == "pair":
                 solver = _sparse_lu(A.astype(complex) - pole * M, label)
             elif pole <= 0:
-                solver = definite(*shift(1.0, -pole), label)
+                solver = definite(*shift(1, -pole), label)
             elif 0 < rho < pole:
-                solver = definite(*shift(-1.0, pole), label)
+                solver = definite(*shift(-1, pole), label)
                 weight = -residue
             else:
                 warnings.warn(

@@ -104,11 +104,7 @@ def assemble_interval(n_cells, periodic=False):
     h = 1.0 / n_cells
     if periodic:
         n = n_cells
-        i = np.arange(n)
-        rows = np.concatenate([i, i, i])
-        cols = np.concatenate([i, (i + 1) % n, (i - 1) % n])
-        a_vals = np.concatenate([np.full(n, 2.0 / h), np.full(n, -1.0 / h), np.full(n, -1.0 / h)])
-        m_vals = np.concatenate([np.full(n, 4.0 * h / 6.0), np.full(n, h / 6.0), np.full(n, h / 6.0)])
+        rows, cols, a_vals, m_vals = _ring_triplets(n)
         A = sp.coo_matrix((a_vals, (rows, cols)), shape=(n, n)).tocsr()
         M = sp.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr()
     else:
@@ -133,10 +129,32 @@ def assemble_interface(n_cells):
     spectrum to [1, rho], so every fractional power in the interface symbol is
     well defined.
     """
-    base = assemble_interval(n_cells, periodic=True)
-    pencil = OperatorPencil((base.A + base.M).tocsr(), base.M, spatial_dimension=1)
+    if n_cells < 3:
+        raise ValueError("n_cells must be at least 3")
+    n = n_cells
+    rows, cols, a_vals, m_vals = _ring_triplets(n)
+    A = sp.coo_matrix((a_vals + m_vals, (rows, cols)), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr()
+    pencil = OperatorPencil(A, M, spatial_dimension=1)
     rho_upper_bound(pencil)
     return pencil
+
+
+def _ring_triplets(n):
+    """Coordinate triplets (rows, cols, stiffness, mass) of the P1 matrices of
+    an n-cell closed curve.
+
+    Each row holds its diagonal and its two distinct neighbours, so no entry
+    is summed from duplicates and adding the value arrays is bitwise the
+    sparse sum of the two matrices.
+    """
+    h = 1.0 / n
+    i = np.arange(n)
+    rows = np.concatenate([i, i, i])
+    cols = np.concatenate([i, (i + 1) % n, (i - 1) % n])
+    a_vals = np.concatenate([np.full(n, 2.0 / h), np.full(n, -1.0 / h), np.full(n, -1.0 / h)])
+    m_vals = np.concatenate([np.full(n, 4.0 * h / 6.0), np.full(n, h / 6.0), np.full(n, h / 6.0)])
+    return rows, cols, a_vals, m_vals
 
 
 # Local P1 matrices on a right triangle with legs h, right angle at vertex 0.

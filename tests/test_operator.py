@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrs
 
 import fracra.operator as operator_module
 from fracra.aaa import PartialFraction, fit_for_pencil
@@ -281,7 +283,7 @@ def _stored_arrays(solver):
     """Every array a definite solver keeps for its solves."""
     if solver.kind == "banded":
         return [solver.factor]
-    return [solver.d, solver.e, solver.w, np.array([solver.s])]
+    return [solver.d, solver.e, *(w for _lo, w in solver.w_blocks), np.array([solver.s])]
 
 
 def _circulant_solve(n, pole, r):
@@ -328,9 +330,10 @@ def test_band_factors_hold_no_subnormal_entries():
         ring_r[order] = r
         ref = sum(_circulant_solve(pencil.n_c, p, ring_r) for p in [None] + poles)[order]
         assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
-    # the strongest shift's border vector on the ring decayed below tiny
+    # the strongest shift's border vector on the ring decayed below tiny, so
+    # only its end blocks are stored
     ring_op = RationalOperator(pf, ring)
-    assert np.count_nonzero(ring_op._terms[-1][3].w) < ring.n_c - 1
+    assert sum(w.size for _lo, w in ring_op._terms[-1][3].w_blocks) < ring.n_c - 1
 
 
 @pytest.mark.parametrize("pole", [None, -1e-3, -1.0, -1e3, -1e6, -1e9, -1e11, "2rho"])
@@ -368,3 +371,62 @@ def test_negative_ring_fails_in_pttrf():
     pf = PartialFraction(0.0, [1.0], [0.0], 1e-12)
     with pytest.raises(FactorizationError, match=r"pole 0\.0+e\+00 .*pttrf info 1\)"):
         RationalOperator(pf, pencil)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 13])
+@pytest.mark.parametrize("pole", [None, -1.0, -1e6, -1e7, -1e9, -1e11])
+@pytest.mark.parametrize("n", [4096, 131072])
+def test_border_blocks_match_full_length_solve(n, pole, scale):
+    # The border vector w = T^-1 b, stored as two end blocks where it decays
+    # below the smallest normal double in between, against one full-length
+    # pttrs with the same factor, flushed the same way.  Scaling the last
+    # unknown by 2^13 (S A S, S M S: the same pencil in another basis) scales
+    # w by 2^13, so the first block size leaves its inner entries above tiny
+    # and has to double.
+    tiny = np.finfo(float).tiny
+    base = assemble_interface(n)
+    weights = np.ones(n)
+    weights[-1] = scale
+    S = sp.diags(weights)
+    pencil = OperatorPencil(S @ base.A @ S, S @ base.M @ S, spatial_dimension=1)
+    if pole is None:
+        op = RationalOperator(PartialFraction(1.0, [], [], 1e-12), pencil)
+        solver, shifted = op._mass_solver, pencil.M
+    else:
+        op = RationalOperator(PartialFraction(0.0, [1.0], [pole], 1e-12), pencil)
+        solver, shifted = op._terms[0][3], pencil.A - pole * pencil.M
+    assert solver.kind == "tridiagonal"
+    b = shifted[-1, :-1].toarray().ravel()
+    ref, _info = dpttrs(solver.d, solver.e, b)
+    ref[np.abs(ref) < tiny] = 0.0
+    w = np.zeros(n - 1)
+    for lo, block in solver.w_blocks:
+        w[lo:lo + block.size] = block
+    assert np.all(np.abs(w - ref) < 4 * tiny)
+    assert solver.s == pytest.approx(shifted[-1, -1] - b @ ref, rel=1e-12)
+    if n == 131072 and scale == 1.0 and pole is not None and pole <= -1e7:
+        assert sum(block.size for _lo, block in solver.w_blocks) < n / 2
+
+
+def test_mid_coupled_border_takes_the_full_length_solve(monkeypatch):
+    # A Dirichlet interval whose last row also couples to a middle unknown,
+    # through the PSD rank-one term (e_last - e_mid)(e_last - e_mid)^T added
+    # to A.  No pair of end blocks short of the whole leading block holds
+    # both border positions, so every definite shift solves w on all of T.
+    monkeypatch.setattr(operator_module, "splu", _no_sparse_lu)
+    base = assemble_interval(1500, periodic=False)
+    n = base.n_c
+    mid = n // 2
+    v = sp.csr_matrix(([1.0, -1.0], ([0, 0], [n - 1, mid])), shape=(1, n))
+    pencil = OperatorPencil(base.A + v.T @ v, base.M, spatial_dimension=1)
+    residues, poles = [1.0, 1e9, 1e11], [-1.0, -1e9, -1e11]
+    pf = PartialFraction(0.5, residues, poles, 1e-12)
+    op = RationalOperator(pf, pencil)
+    solvers = [op._mass_solver] + [solver for *_, solver in op._terms]
+    assert [solver.kind for solver in solvers] == ["tridiagonal"] * 4
+    for solver in solvers:
+        assert [(lo, w.size) for lo, w in solver.w_blocks] == [(0, n - 1)]
+    r = np.random.default_rng(15).standard_normal(n)
+    symbol = lambda lam: 0.5 + sum(c / (lam - p) for c, p in zip(residues, poles))
+    ref = dense_inverse_fractional_apply(pencil, symbol, r)
+    assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)

@@ -167,6 +167,22 @@ def test_shifted_interface_positive():
     assert lam[0] >= 1.0 - 1e-10
 
 
+@pytest.mark.parametrize("n", [3, 64, 131072])
+def test_interface_matches_periodic_stiffness_plus_mass(n):
+    # One set of triplets gives bitwise the pencil (A_per + M, M) that the
+    # sum of the periodic pencil's sparse matrices gives, with the same bound.
+    base = assemble_interval(n, periodic=True)
+    ref = OperatorPencil((base.A + base.M).tocsr(), base.M, spatial_dimension=1)
+    rho_upper_bound(ref)
+    p = assemble_interface(n)
+    for got, want in ((p.A, ref.A), (p.M, ref.M)):
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert p.rho_bound == ref.rho_bound
+    with pytest.raises(ValueError):
+        assemble_interface(2)
+
+
 def test_dense_cap():
     p = assemble_interval(50, periodic=False)
     with pytest.raises(DenseCapExceededError):
