@@ -4,7 +4,8 @@ The system is S = mu^{-1} L^{-1/2} + K mu^{-1} L^{1/2} with L the shifted
 closed-curve pencil (stiffness plus mass against mass).  Its reciprocal symbol
 is fitted by the rational approximant and applied through one sparse shifted
 solve per pole, giving a preconditioner under which MinRes converges in a
-handful of iterations for any mesh and parameter choice.
+handful of iterations for any mesh and parameter choice.  The system itself
+is applied exactly by two real FFTs, so the mesh sweep reaches 131072 cells.
 """
 
 from fracra import (
@@ -16,11 +17,11 @@ from fracra import (
 )
 
 print("mesh sweep at mu = K = 1, fit tolerance 1e-12")
-for cells in (64, 128, 256, 512):
+for cells in (64, 128, 256, 512, 131072):
     problem = build_interface_problem(1.0, 1.0, cells)
     _, report, pf, setup = solve_interface(problem, tol_ra=1e-12,
                                            tol_krylov=1e-10)
-    print(f"  n={cells:4d}: minres iterations={report.iterations}, "
+    print(f"  n={cells:6d}: minres iterations={report.iterations}, "
           f"poles={pf.degree}, fit setup {setup * 1e3:.0f} ms, "
           f"final residual {report.preconditioned_residual_history[-1]:.1e}")
 

@@ -25,8 +25,8 @@ from .aaa import (
     to_partial_fraction,
 )
 from .experiments import (
+    FourierInterfaceSystem,
     InterfaceProblem,
-    ShiftedSumSystem,
     SweepRecord,
     build_interface_problem,
     build_interface_system_dense,

@@ -3,23 +3,26 @@
 The interface problem solves S lam = g where S realizes the symbol
 mu^{-1} x^{-1/2} + K mu^{-1} x^{1/2} of the shifted closed-curve pencil, and
 the preconditioner is the shifted-solve realization of the reciprocal symbol.
+S is applied exactly by two real FFTs (:class:`FourierInterfaceSystem`) in the
+solves and the timing study, and densely in the robustness sweep.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import platform
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.sparse as sp
 
-from .aaa import (DEFAULT_FLOOR_RATIO, aaa_fit, fit_for_pencil,
-                  fit_fractional_sum, scale_to_interval, to_partial_fraction)
+from .aaa import DEFAULT_FLOOR_RATIO, fit_for_pencil, fit_fractional_sum
 from .functions import FractionalSumFunction, normalize
 from .krylov import minres, pcg
 from .operator import RationalOperator, spd_audit
@@ -35,7 +38,7 @@ __all__ = [
     "COMPLEXITY_MESHES",
     "SweepRecord",
     "InterfaceProblem",
-    "ShiftedSumSystem",
+    "FourierInterfaceSystem",
     "build_interface_problem",
     "build_interface_system_dense",
     "interface_rhs",
@@ -130,37 +133,46 @@ class InterfaceProblem:
     K: float
     pencil: object
     system: object
-    system_mode: str
 
 
-class ShiftedSumSystem:
-    """O(n) realization of the forward symbol through shifted solves.
+def _circulant_symbol(mat):
+    """Eigenvalues sum_j c_j cos(2 pi j k / n), k = 0..n/2, of a circulant matrix.
 
-    A rational fit of the forward symbol over the pencil's spectral interval
-    is sandwiched between two mass applications:
-    S x = M (c0 M^{-1} + c1 M^{-1} A M^{-1} + sum c_i (A - p_i M)^{-1}) M x.
-    All factorizations are prepared at construction, so every apply costs
-    O(n) sparse work.
+    Taken as sum_j c_j - 2 sum_j c_j sin^2(pi j k / n) over the first column's
+    offsets j in (-n/2, n/2]; an rfft of c loses ~3e-8 relative on the lowest
+    modes of a 131072-cell ring to the cancellation of c_0 ~ 2/h.
+    """
+    n = mat.shape[0]
+    coo = sp.coo_matrix(mat)
+    col = mat[:, [0]].toarray().ravel()
+    j = np.flatnonzero(col)
+    if (np.count_nonzero(coo.data) != n * j.size
+            or not np.array_equal(coo.data, col[(coo.row - coo.col) % n])):
+        raise ValueError("pencil is not circulant")
+    angles = np.pi / n * np.outer(np.arange(n // 2 + 1), np.where(j > n // 2, j - n, j))
+    return math.fsum(col[j]) - 2.0 * np.sin(angles) ** 2 @ col[j]
+
+
+class FourierInterfaceSystem:
+    """Exact circulant realization of the closed-curve interface operator.
+
+    The real Fourier modes diagonalize the uniform closed-curve pencil, so
+    with a_k, m_k the eigenvalues of A, M (read from their first columns, so
+    the stencil stays defined by the assembler) and lambda_k = a_k / m_k,
+    S x = irfft(m_k F(lambda_k) rfft(x)),  F(x) = mu^-1 x^-1/2 + K mu^-1 x^1/2.
     """
 
-    def __init__(self, pencil, mu, K, tol=1e-12, max_degree=30, n_samples=2000):
-        rho = pencil.rho_bound
-        # The generalized spectrum lies in [1, rho]; sample just below it.
-        y = np.geomspace(0.5 / rho, 1.0, n_samples)
-        symbol = FractionalSumFunction(1.0 / mu, K / mu, -0.5, 0.5, rho)
-        values = symbol.forward(rho * y)
-        form = aaa_fit(y, values, tol, max_degree)
-        self.pf = scale_to_interval(to_partial_fraction(form), rho)
-        self._rop = RationalOperator(self.pf, pencil)
-        self._M = pencil.M.tocsr()
-
-    @property
-    def n(self):
-        return self._M.shape[0]
+    def __init__(self, pencil, mu, K):
+        if mu <= 0 or K <= 0:
+            raise ValueError("mu and K must be positive")
+        a, m = _circulant_symbol(pencil.A), _circulant_symbol(pencil.M)
+        if np.any(a <= 0) or np.any(m <= 0):
+            raise ValueError("pencil is not definite")
+        self.eigenvalues = m * ((a / m)**-0.5 + K * (a / m)**0.5) / mu
+        self.n = pencil.n_c
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._M @ self._rop.apply(self._M @ x)
+        return np.fft.irfft(self.eigenvalues * np.fft.rfft(x), self.n)
 
 
 def build_interface_system_dense(pencil, mu, K, dense_cap=DENSE_CAP_DEFAULT):
@@ -172,24 +184,10 @@ def build_interface_system_dense(pencil, mu, K, dense_cap=DENSE_CAP_DEFAULT):
     return 0.5 * (system + system.T)
 
 
-def build_interface_problem(mu, K, n_cells, system_mode="dense",
-                            dense_cap=DENSE_CAP_DEFAULT, system_tol=1e-12):
-    """Assemble the shifted closed-curve pencil and the system operator.
-
-    ``system_mode`` is "dense" (spectral ground truth, O(n^2) applies) or
-    "rational" (matrix-free realization with O(n) applies, used for timing
-    studies).
-    """
-    if mu <= 0 or K <= 0:
-        raise ValueError("mu and K must be positive")
+def build_interface_problem(mu, K, n_cells):
+    """Assemble the shifted closed-curve pencil and its exact Fourier system."""
     pencil = assemble_interface(n_cells)
-    if system_mode == "dense":
-        system = build_interface_system_dense(pencil, mu, K, dense_cap)
-    elif system_mode == "rational":
-        system = ShiftedSumSystem(pencil, mu, K, tol=system_tol)
-    else:
-        raise ValueError(f"unknown system_mode {system_mode!r}")
-    return InterfaceProblem(mu, K, pencil, system, system_mode)
+    return InterfaceProblem(mu, K, pencil, FourierInterfaceSystem(pencil, mu, K))
 
 
 def interface_rhs(pencil, seed=0):
@@ -316,8 +314,8 @@ def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
                      max_iter=500):
     """Time the fit setup and the preconditioned solve across mesh doublings.
 
-    The system is the matrix-free realization so every timed operation is O(n)
-    sparse work; ``setup_seconds`` covers the fit and pole extraction only and
+    Each Krylov iteration is two real FFTs (the exact system) plus O(n) shifted
+    solves; ``setup_seconds`` covers the fit and pole extraction only and
     ``solve_seconds`` the full Krylov loop including preconditioner applies.
     Each timing is the best of ``repeats`` runs.
     """
@@ -329,7 +327,7 @@ def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
     records = []
     for n_cells in mesh_grid:
         pencil = pencils[n_cells]
-        system = ShiftedSumSystem(pencil, mu, K)
+        system = FourierInterfaceSystem(pencil, mu, K)
         g = interface_rhs(pencil, seed)
         for tol in tolerance_grid:
             rec = SweepRecord(kind="complexity", mu=mu, K=K, n_cells=n_cells,

@@ -47,6 +47,15 @@ def test_fit_nonconvergence_exits_3(capsys):
     assert "did not reach tolerance" in capsys.readouterr().err
 
 
+def test_fit_gates_on_the_written_form(capsys):
+    # The barycentric fit meets 1e-12, but its pole/residue form is off by
+    # ~6e-6: the form is what --out writes, so the fit fails.
+    code = main(["fit", "--alpha", "1e-6", "--beta", "1e-10", "--s", "-1",
+                 "--t", "-0.8", "--tol", "1e-12"])
+    assert code == 3
+    assert "did not reach tolerance" in capsys.readouterr().err
+
+
 def test_solve_interface(tmp_path, capsys):
     out = tmp_path / "report.json"
     args = ["solve-interface", "--mu", "1", "--K", "1", "--cells", "64",
@@ -64,6 +73,13 @@ def test_solve_interface(tmp_path, capsys):
     assert code == 0
     second = capsys.readouterr().out
     assert first.splitlines()[0] == second.splitlines()[0]
+
+
+def test_solve_interface_beyond_dense_size(capsys):
+    code = main(["solve-interface", "--mu", "1", "--K", "1", "--cells", "4096",
+                 "--tol-ra", "1e-12", "--tol-krylov", "1e-10"])
+    assert code == 0
+    assert "converged=True" in capsys.readouterr().out
 
 
 def test_solve_interface_small_mesh_exits_2(capsys):

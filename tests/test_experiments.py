@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracra.experiments import (
-    ShiftedSumSystem,
+    FourierInterfaceSystem,
     build_interface_problem,
     build_interface_system_dense,
     complexity_study,
@@ -17,7 +17,7 @@ from fracra.experiments import (
     write_sweep_csv,
     write_sweep_summary,
 )
-from fracra.pencil import assemble_interface
+from fracra.pencil import OperatorPencil, assemble_interface, assemble_interval
 
 
 def test_pole_sweep_enumerates_full_grid():
@@ -55,14 +55,46 @@ def test_dense_system_is_spd():
     assert np.linalg.eigvalsh(S)[0] > 0
 
 
-def test_shifted_sum_system_matches_dense():
-    pencil = assemble_interface(64)
-    dense = build_interface_system_dense(pencil, mu=1e-2, K=1e-6)
-    free = ShiftedSumSystem(pencil, mu=1e-2, K=1e-6, tol=1e-12)
-    x = np.random.default_rng(0).standard_normal(pencil.n_c)
-    a = dense @ x
-    b = free.apply(x)
-    assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
+def test_fourier_system_matches_dense():
+    for n_cells in (64, 1024):
+        pencil = assemble_interface(n_cells)
+        x = np.random.default_rng(0).standard_normal(n_cells)
+        for mu, K in ((1e-2, 1e-6), (1.0, 1.0), (1e3, 1e-4)):
+            a = build_interface_system_dense(pencil, mu, K) @ x
+            b = FourierInterfaceSystem(pencil, mu, K).apply(x)
+            assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
+
+
+def test_fourier_system_maps_cosine_modes():
+    # Beyond the dense cap: each cosine mode is an eigenvector of the pencil,
+    # with eigenvalues a, m read off the sparse matrices themselves.  The
+    # bound is 1e-9: an rfft of the stencil is off by ~4e-9 on the lowest
+    # modes here.  The constant mode is left out: its row sum c0 + c1 + c1
+    # rounds (2/h against -1/h twice), so A @ ones is off by ~5e-7 itself.
+    n = 65536
+    pencil = assemble_interface(n)
+    mu, K = 1e-2, 1e-6
+    system = FourierInterfaceSystem(pencil, mu, K)
+    for k in (1, 2, 3, 10, 1000, n // 4, n // 2 - 1, n // 2):
+        x = np.cos(2.0 * np.pi * k * np.arange(n) / n)
+        a = x @ (pencil.A @ x) / (x @ x)
+        m = x @ (pencil.M @ x) / (x @ x)
+        lam = a / m
+        expected = m * (lam**-0.5 + K * lam**0.5) / mu * x
+        err = np.linalg.norm(system.apply(x) - expected)
+        assert err <= 1e-9 * np.linalg.norm(expected), k
+
+
+def test_fourier_system_rejects_non_circulant_pencil():
+    with pytest.raises(ValueError, match="circulant"):
+        FourierInterfaceSystem(assemble_interval(64), 1.0, 1.0)
+    # One coupling of a ring changed (same pattern) or removed (one fewer).
+    ring = assemble_interface(64)
+    for factor in (1.01, 0.0):
+        A = ring.A.tolil()
+        A[3, 4] = A[4, 3] = factor * A[3, 4]
+        with pytest.raises(ValueError, match="circulant"):
+            FourierInterfaceSystem(OperatorPencil(A, ring.M, 1), 1.0, 1.0)
 
 
 def test_solve_interface_converges_quickly():
@@ -83,8 +115,6 @@ def test_solve_interface_validates():
         solve_interface(problem, tol_ra=1e-10, method="bogus")
     with pytest.raises(ValueError):
         build_interface_problem(0.0, 1.0, 32)
-    with pytest.raises(ValueError):
-        build_interface_problem(1.0, 1.0, 32, system_mode="nope")
 
 
 def test_robustness_sweep_small_grid():
