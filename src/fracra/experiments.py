@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from .aaa import DEFAULT_FLOOR_RATIO, fit_for_pencil, fit_fractional_sum
 from .functions import FractionalSumFunction, normalize
@@ -143,7 +142,7 @@ def _circulant_symbol(mat):
     modes of a 131072-cell ring to the cancellation of c_0 ~ 2/h.
     """
     n = mat.shape[0]
-    coo = sp.coo_matrix(mat)
+    coo = mat.tocoo()
     col = mat[:, [0]].toarray().ravel()
     j = np.flatnonzero(col)
     if (np.count_nonzero(coo.data) != n * j.size
