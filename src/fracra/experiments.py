@@ -25,7 +25,8 @@ from .aaa import DEFAULT_FLOOR_RATIO, fit_for_pencil, fit_fractional_sum
 from .functions import FractionalSumFunction, normalize
 from .krylov import minres, pcg
 from .operator import RationalOperator, spd_audit
-from .pencil import DENSE_CAP_DEFAULT, assemble_interface, dense_eigendecomposition
+from .pencil import (DENSE_CAP_DEFAULT, assemble_interface, dense_eigendecomposition,
+                     dense_power_form)
 
 __all__ = [
     "EXPONENT_GRID",
@@ -175,12 +176,11 @@ class FourierInterfaceSystem:
 
 
 def build_interface_system_dense(pencil, mu, K, dense_cap=DENSE_CAP_DEFAULT):
-    """Dense realization M U F(lam) U^T M of the forward interface symbol."""
-    lam, u = dense_eigendecomposition(pencil, dense_cap)
-    values = (1.0 / mu) * lam**-0.5 + (K / mu) * lam**0.5
-    mv = pencil.M @ u
-    system = (mv * values) @ mv.T
-    return 0.5 * (system + system.T)
+    """Dense realization M U F(lam) U^T M of the forward interface symbol,
+    (G_- + K G_+) / mu from the pencil's cached forms G_-+ = M U lam^-+1/2 U^T M."""
+    dense_eigendecomposition(pencil, dense_cap)  # here too, so a trace of this binding times it
+    g_minus, g_plus = (dense_power_form(pencil, s, dense_cap) for s in (-0.5, 0.5))
+    return (g_minus + K * g_plus) / mu
 
 
 def build_interface_problem(mu, K, n_cells):

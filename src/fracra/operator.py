@@ -17,16 +17,17 @@ factorization is their definiteness check:
 * a real pole above the pencil's ``rho_bound`` gives a negative definite
   A - p M, so p M - A is factorized and the solve negated.
 
-Which pieces are stored depends on the pattern of |A| + |M|.  Every 1D pencil
+Which pieces are stored depends on the pattern of A and M.  Every 1D pencil
 is tridiagonal once its last unknown is removed (the Dirichlet interval
-exactly, the closed curve apart from the unknown that closes the ring).  Such
-a pencil keeps the diagonals and the last row of A and M in its own
-numbering; each definite shift is factorized by LAPACK tridiagonal LDL^T
-(``pttrf``) of the leading block, and the last unknown is eliminated as a
-one-node border through its Schur complement.  The border vector T^{-1} b is
-solved on two end blocks of T that reach just past its decay below the
-smallest normal double, or on the whole of T when the blocks would cover it.
-Factorization and solve both cost O(n).  Every other pencil is ordered once
+exactly, the closed curve apart from the unknown that closes the ring), which
+one read of the CSR arrays of A and M shows, along with the diagonals and the
+last row the pencil keeps in its own numbering; each definite shift is
+factorized by LAPACK tridiagonal LDL^T (``pttrf``) of the leading block, and
+the last unknown is eliminated as a one-node border through its Schur
+complement.  The border vector T^{-1} b is solved on two end blocks of T that
+reach just past its decay below the smallest normal double, overlapping where
+that is cheaper than one solve on the whole of T.  Factorization and solve
+both cost O(n).  Every other pencil is ordered once
 by reverse Cuthill-McKee and keeps the lower bands of A and M in that order;
 its definite shifts are factorized by LAPACK banded Cholesky (``pbtrf``) at
 O(n kd^2), with a solve at O(n kd) for half-bandwidth kd, which is about the
@@ -75,24 +76,26 @@ def _check_pivots(smallest, largest, count, label):
         )
 
 
-def _tridiagonal_but_last(pattern):
-    """Whether the pattern with its last unknown removed is tridiagonal.
-
-    The leading block needs at least two unknowns, the least LAPACK's
-    tridiagonal wrappers accept.
-    """
-    n = pattern.shape[0]
-    coo = pattern.tocoo()
-    inner = (coo.row < n - 1) & (coo.col < n - 1)
-    return n >= 3 and bool(np.all(np.abs(coo.row[inner] - coo.col[inner]) <= 1))
-
-
-def _bordered_tridiagonal(matrix, index):
-    """Diagonal and subdiagonal of the leading block, the last row at the
-    border columns ``index``, and the corner (as a length-1 array)."""
-    diag = matrix.diagonal()
-    border = matrix[-1, :-1].toarray().ravel()[index]
-    return diag[:-1], matrix.diagonal(-1)[:-1], border, diag[-1:]
+def _bordered_tridiagonal(A, M):
+    """Border columns and, for A and M, the diagonal and subdiagonal of the
+    leading block, the last row at the border columns and the corner (as a
+    length-1 array), read from the CSR arrays of a pencil that is tridiagonal
+    once its last unknown is removed and has at least the two leading unknowns
+    LAPACK's tridiagonal wrappers accept; None for any other pencil."""
+    n = A.shape[0]
+    border, pieces = [], []
+    for mat in (A, M):
+        lead, end = mat.indptr[-2:]
+        cols = mat.indices[:lead]
+        rows = np.repeat(np.arange(n - 1, dtype=cols.dtype), np.diff(mat.indptr[:-1]))
+        if n < 3 or np.any((np.abs(cols - rows) > 1) & (cols < n - 1) & (mat.data[:lead] != 0)):
+            return None
+        cols, vals = mat.indices[lead:end], mat.data[lead:end]
+        border.append(cols[(cols < n - 1) & (vals != 0)])
+        pieces.append((mat.diagonal(), mat.diagonal(-1)[:-1], np.zeros(n)))
+        np.add.at(pieces[-1][2], cols, vals)
+    index = np.unique(np.concatenate(border))
+    return index, [(d[:-1], sub, last[index], d[-1:]) for d, sub, last in pieces]
 
 
 def _half_bandwidth(matrix):
@@ -109,6 +112,16 @@ def _lower_band(matrix, kd):
     return band
 
 
+def _flush(x, work):
+    """Zero the entries of x below the smallest normal double; returns the nonzero count."""
+    small = np.abs(x, out=work[:x.size])
+    if small.min() >= _TINY:
+        return x.size
+    small = small < _TINY
+    x[small] = 0.0
+    return x.size - int(np.count_nonzero(small))
+
+
 class _BorderedTridiagonal:
     """LDL^T of an SPD matrix [[T, b], [b^T, c]] with T tridiagonal.
 
@@ -121,65 +134,70 @@ class _BorderedTridiagonal:
     b is given by its nonzeros, the values ``b`` at the positions ``index``
     of the leading block.  On a 1D pencil they sit at the ends of T, and w
     decays geometrically away from them at a ratio bounded by the largest
-    multiplier |E|, so w is solved on two end blocks of k unknowns, k first
-    set so that |E|^k falls below the smallest normal double and large enough
-    that every border position lies in a block.  D[:k], E[:k-1] is the factor
-    of the leading k x k block of T, and D[m-k:], E[m-k:] solve T exactly for
-    a right-hand side that vanishes above the tail block.  The blocks are kept
-    if both inner entries are below the smallest normal double, and k doubles
-    otherwise; once the blocks would cover T (2k >= m), the last turn solves w
-    on the whole of T.  The stored w is the blocks, or the whole vector.
+    multiplier |E|, so w is the sum of solves on two end blocks of k unknowns,
+    each taking the border positions nearer its end: D[:k], E[:k-1] factor
+    the leading k x k block of T, and D[m-k:], E[m-k:] solve T exactly for a
+    right-hand side that vanishes above the tail block.  k starts where |E|^k
+    falls below the smallest normal double (and covers every border
+    position) and doubles until both inner entries are below it.  Blocks
+    past the middle overlap by 2k - m steps, while a full-length solve's
+    forward sweep carries the head's decay through m - k steps on subnormals,
+    each at least twice as dear as a normal step; so the blocks are cheaper
+    while 2k < m + (m - k), and once 3k >= 2m w is solved on all of T.
 
     Entries of E and w below the smallest normal double are set to zero.  On
     a strongly shifted ring the decay of w from each end reaches the subnormal
     range, where at a decay ratio above 1/2 gradual underflow sticks at the
     smallest subnormal instead of reaching zero; the end blocks stop just past
-    the underflow, and the flush keeps subnormals out of every solve.
+    the underflow, and the flush keeps subnormals out of every solve.  On a
+    ring E keeps one sign, so its extremes show when no entry needs a flush.
     """
 
     kind = "tridiagonal"
 
-    def __init__(self, index, d, e, b, c, label):
+    def __init__(self, index, work, d, e, b, c, label):
         d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise FactorizationError(
                 f"shifted matrix for {label} is not positive definite (pttrf info {info})"
             )
-        abs_e = np.abs(e)
-        e[abs_e < _TINY] = 0.0
         m = d.size
+        e_min, e_max = float(e.min()), float(e.max())
+        ratio = max(-e_min, e_max)
+        e_nnz = e.size if e_min >= _TINY or e_max <= -_TINY else _flush(e, work)
         self.border = list(zip(index, b.tolist()))
+        h = sum(2 * i < m for i in index)  # index ascends, so these are the head's
 
-        def block_solve(lo, hi):
+        def block_solve(lo, hi, entries):
             rhs = np.zeros(hi - lo)
-            for i, value in self.border:
-                if lo <= i < hi:
-                    rhs[i - lo] = value
+            for i, value in entries:
+                rhs[i - lo] = value
             return dpttrs(d[lo:hi], e[lo:hi - 1], rhs, overwrite_b=1)[0]
 
-        ratio = float(abs_e.max())
         k = m if ratio >= 1.0 else 2 + int(_LOG_TINY / math.log(max(ratio, _TINY)))
         k = max([k] + [min(i, m - 1 - i) + 1 for i in index])
-        while True:
-            spans = [(0, m)] if 2 * k >= m else [(0, k), (m - k, m)]
-            blocks = [(lo, block_solve(lo, hi)) for lo, hi in spans]
-            if len(blocks) == 1 or max(abs(blocks[0][1][-1]), abs(blocks[1][1][0])) < _TINY:
+        while 3 * k < 2 * m:
+            blocks = [(0, block_solve(0, k, self.border[:h])),
+                      (m - k, block_solve(m - k, m, self.border[h:]))]
+            if max(abs(blocks[0][1][-1]), abs(blocks[1][1][0])) < _TINY:
                 break
             k *= 2
-        for _lo, w in blocks:
-            w[np.abs(w) < _TINY] = 0.0
+        else:
+            blocks = [(0, block_solve(0, m, self.border))]
+        w_nnz = sum(_flush(w, work) for _lo, w in blocks)
         s = float(c[0] - sum(value * w[i - lo] for i, value in self.border
                              for lo, w in blocks if lo <= i < lo + w.size))
         _check_pivots(min(d.min(), s), max(d.max(), s), m + 1, label)
         self.d, self.e, self.w_blocks, self.s = d, e, blocks, s
-        self.nnz = int(np.count_nonzero(d) + np.count_nonzero(e)
-                       + sum(np.count_nonzero(w) for _lo, w in blocks)) + 1
+        self.nnz = m + e_nnz + w_nnz + 1  # pttrf succeeded, so D > 0
 
-    def solve(self, rhs):
+    def solve(self, rhs, out=None):
+        """The solution x of [[T, b], [b^T, c]] x = rhs, written to ``out`` if given."""
         # b.T^{-1} r = w.r because T is symmetric, so the last unknown comes
         # first and the border only patches its few entries of the right-hand
         # side of the one pttrs, which overwrites the contiguous head in place.
-        x = rhs.copy()
+        x = np.empty_like(rhs) if out is None else out
+        x[:] = rhs
         head = x[:-1]
         last = x[-1]
         for lo, w in self.w_blocks:
@@ -251,17 +269,15 @@ class RationalOperator:
     def __init__(self, pf, pencil):
         self.pf = pf
         self.pencil = pencil
-        pattern = abs(pencil.A) + abs(pencil.M)
-        if _tridiagonal_but_last(pattern):
+        A, M = pencil.A, pencil.M
+        bordered = _bordered_tridiagonal(A, M)
+        if bordered is not None:
             self._perm = None
-            A, M = pencil.A, pencil.M
-            index = np.flatnonzero(pattern[-1, :-1].toarray())
-            a_parts, m_parts = _bordered_tridiagonal(A, index), _bordered_tridiagonal(M, index)
-            definite = functools.partial(_BorderedTridiagonal, index.tolist())
+            index, (a_parts, m_parts) = bordered
+            definite = functools.partial(_BorderedTridiagonal, index.tolist(), np.empty(self.n))
         else:
-            self._perm = reverse_cuthill_mckee(pattern.tocsr(), symmetric_mode=True)
-            A = pencil.A.tocsr()[self._perm][:, self._perm]
-            M = pencil.M.tocsr()[self._perm][:, self._perm]
+            self._perm = reverse_cuthill_mckee((abs(A) + abs(M)).tocsr(), symmetric_mode=True)
+            A, M = A.tocsr()[self._perm][:, self._perm], M.tocsr()[self._perm][:, self._perm]
             kd = max(_half_bandwidth(A), _half_bandwidth(M))
             a_parts, m_parts = (_lower_band(A, kd),), (_lower_band(M, kd),)
             definite = _BandCholesky
@@ -356,9 +372,12 @@ class RationalOperator:
         else:
             z = np.zeros_like(rp)
         self.shift_seconds[0] += time.perf_counter() - tic
+        work = np.empty_like(rp)
         for k, (kind, _pole, weight, solver) in enumerate(self._terms):
             tic = time.perf_counter()
-            if kind == "real":
+            if isinstance(solver, _BorderedTridiagonal):
+                z += np.multiply(solver.solve(rp, out=work), weight, out=work)
+            elif kind == "real":
                 z += weight * solver.solve(rp)
             else:
                 z += 2.0 * np.real(weight * solver.solve(rp.astype(complex)))

@@ -1,10 +1,11 @@
 """Sparse symmetric pencils (A, M) from P1 elements and their dense spectral calculus.
 
 Meshes are uniform: an interval with Dirichlet ends, a closed curve (the
-periodic interval), or a structured right-triangle split of the unit square.
-The dense eigendecomposition of the generalized problem A u = lambda M u
-provides the ground-truth spectral calculus used to validate the shifted-solve
-operators.
+periodic interval, assembled directly as sorted CSR), or a structured
+right-triangle split of the unit square.  Pencils store canonical CSR, which
+their symmetry check and the operators' structure reads rely on.  The dense
+eigendecomposition of A u = lambda M u, with its power forms, provides the
+ground-truth spectral calculus used to validate the shifted-solve operators.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "assemble_unit_square",
     "rho_upper_bound",
     "dense_eigendecomposition",
+    "dense_power_form",
     "dense_fractional_apply",
     "dense_inverse_fractional_apply",
     "write_matrix",
@@ -48,8 +50,8 @@ class OperatorPencil:
 
     ``rho_bound`` is an upper bound on the largest generalized eigenvalue of
     (A, M); assemblers fill it via :func:`rho_upper_bound`.  The dense
-    eigendecomposition is cached after first use; beyond that the pencil is
-    immutable, so it may be shared across threads once the cache is primed.
+    eigendecomposition and power forms are cached on first use; otherwise the
+    pencil is immutable, so it may be shared across threads once those are cached.
     """
 
     A: sp.csr_matrix
@@ -57,23 +59,33 @@ class OperatorPencil:
     spatial_dimension: int
     rho_bound: float = 0.0
     _eig: tuple = field(default=None, repr=False)
+    _forms: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.A = sp.csr_matrix(self.A)
-        self.M = sp.csr_matrix(self.M)
+        self.A, self.M = sp.csr_matrix(self.A), sp.csr_matrix(self.M)
         if self.A.shape[0] != self.A.shape[1] or self.A.shape != self.M.shape:
             raise ValueError("A and M must be square with equal shape")
         if self.spatial_dimension not in (1, 2):
             raise ValueError("spatial_dimension must be 1 or 2")
         for name, mat in (("A", self.A), ("M", self.M)):
-            asym = abs(mat - mat.T)
-            scale = max(abs(mat).max(), np.finfo(float).tiny)
-            if asym.nnz and asym.max() > 1e-12 * scale:
+            mat.sum_duplicates()  # in place: the stored-piece reads assume canonical CSR
+            scale = max(float(np.max(np.abs(mat.data), initial=0.0)), np.finfo(float).tiny)
+            if _asymmetry(mat) > 1e-12 * scale:
                 raise ValueError(f"{name} must be symmetric")
 
     @property
     def n_c(self):
         return self.A.shape[0]
+
+
+def _asymmetry(mat):
+    """Largest entry of |mat - mat^T| for a canonical CSR matrix: where its
+    transpose has the same pattern, the difference of their data arrays."""
+    tr = mat.T.tocsr()
+    if np.array_equal(tr.indptr, mat.indptr) and np.array_equal(tr.indices, mat.indices):
+        return 0.0 if np.array_equal(mat.data, tr.data) else float(np.max(abs(mat.data - tr.data)))
+    asym = abs(mat - tr)
+    return asym.max() if asym.nnz else 0.0
 
 
 def rho_upper_bound(pencil):
@@ -85,7 +97,8 @@ def rho_upper_bound(pencil):
     diag = pencil.M.diagonal()
     if np.any(diag <= 0):
         raise ValueError("mass matrix has a nonpositive diagonal entry")
-    a_inf = float(np.max(np.asarray(abs(pencil.A).sum(axis=1)).ravel()))
+    A, rows = pencil.A, np.flatnonzero(np.diff(pencil.A.indptr))  # as abs(A).sum(axis=1)
+    a_inf = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[rows]), initial=0.0))
     d = pencil.spatial_dimension
     bound = d * (d + 1) * float(np.max(1.0 / diag)) * a_inf
     pencil.rho_bound = bound
@@ -103,10 +116,7 @@ def assemble_interval(n_cells, periodic=False):
         raise ValueError("n_cells must be at least 3")
     h = 1.0 / n_cells
     if periodic:
-        n = n_cells
-        rows, cols, a_vals, m_vals = _ring_triplets(n)
-        A = sp.coo_matrix((a_vals, (rows, cols)), shape=(n, n)).tocsr()
-        M = sp.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr()
+        A, M = _ring(n_cells, shifted=False)
     else:
         n = n_cells - 1
         A = sp.diags(
@@ -131,30 +141,31 @@ def assemble_interface(n_cells):
     """
     if n_cells < 3:
         raise ValueError("n_cells must be at least 3")
-    n = n_cells
-    rows, cols, a_vals, m_vals = _ring_triplets(n)
-    A = sp.coo_matrix((a_vals + m_vals, (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr()
+    A, M = _ring(n_cells, shifted=True)
     pencil = OperatorPencil(A, M, spatial_dimension=1)
     rho_upper_bound(pencil)
     return pencil
 
 
-def _ring_triplets(n):
-    """Coordinate triplets (rows, cols, stiffness, mass) of the P1 matrices of
-    an n-cell closed curve.
+def _ring(n, shifted):
+    """P1 stiffness (plus the mass if ``shifted``) and mass of an n-cell closed
+    curve as canonical CSR matrices with one pattern: row i holds its diagonal
+    and its two distinct neighbours i -+ 1 (mod n) in ascending column order,
+    so no entry is summed from duplicates and each entry of the shifted
+    stiffness is bitwise the sum of the two P1 entries."""
+    cols = np.arange(n, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)
+    cols[0], cols[-1] = (0, 1, n - 1), (0, n - 2, n - 1)
+    indptr = np.arange(0, 3 * n + 1, 3, dtype=np.int32)
 
-    Each row holds its diagonal and its two distinct neighbours, so no entry
-    is summed from duplicates and adding the value arrays is bitwise the
-    sparse sum of the two matrices.
-    """
+    def matrix(on, off):
+        vals = np.full((n, 3), off)
+        vals[:, 1] = on
+        vals[0], vals[-1] = (on, off, off), (off, off, on)
+        return sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n, n))
+
     h = 1.0 / n
-    i = np.arange(n)
-    rows = np.concatenate([i, i, i])
-    cols = np.concatenate([i, (i + 1) % n, (i - 1) % n])
-    a_vals = np.concatenate([np.full(n, 2.0 / h), np.full(n, -1.0 / h), np.full(n, -1.0 / h)])
-    m_vals = np.concatenate([np.full(n, 4.0 * h / 6.0), np.full(n, h / 6.0), np.full(n, h / 6.0)])
-    return rows, cols, a_vals, m_vals
+    m_on, m_off = 4.0 * h / 6.0, h / 6.0
+    return matrix(2.0 / h + shifted * m_on, -1.0 / h + shifted * m_off), matrix(m_on, m_off)
 
 
 # Local P1 matrices on a right triangle with legs h, right angle at vertex 0.
@@ -223,6 +234,15 @@ def dense_eigendecomposition(pencil, dense_cap=DENSE_CAP_DEFAULT):
         lam, u = scipy.linalg.eigh(pencil.A.toarray(), pencil.M.toarray())
         pencil._eig = (lam, u)
     return pencil._eig
+
+
+def dense_power_form(pencil, s, dense_cap=DENSE_CAP_DEFAULT):
+    """Dense symmetric M U diag(lam**s) U^T M, cached on the pencil per exponent."""
+    lam, u = dense_eigendecomposition(pencil, dense_cap)
+    if s not in pencil._forms:
+        form = (pencil.M @ (u * lam**s)) @ (pencil.M @ u).T
+        pencil._forms[s] = 0.5 * (form + form.T)
+    return pencil._forms[s]
 
 
 def _values_on_spectrum(g, lam):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from fracra.experiments import (
+    ROBUSTNESS_KS,
+    ROBUSTNESS_MUS,
     FourierInterfaceSystem,
     build_interface_problem,
     build_interface_system_dense,
@@ -17,7 +19,12 @@ from fracra.experiments import (
     write_sweep_csv,
     write_sweep_summary,
 )
-from fracra.pencil import OperatorPencil, assemble_interface, assemble_interval
+from fracra.pencil import (
+    OperatorPencil,
+    assemble_interface,
+    assemble_interval,
+    dense_eigendecomposition,
+)
 
 
 def test_pole_sweep_enumerates_full_grid():
@@ -53,6 +60,24 @@ def test_dense_system_is_spd():
     S = build_interface_system_dense(pencil, mu=1e-2, K=1e-4)
     assert np.allclose(S, S.T)
     assert np.linalg.eigvalsh(S)[0] > 0
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_dense_system_from_cached_forms_matches_spectral_formula(n):
+    # (G_- + K G_+) / mu from the two cached forms, against M U F(lam) U^T M
+    # formed per (mu, K) point, over the robustness grid.
+    pencil = assemble_interface(n)
+    lam, u = dense_eigendecomposition(pencil)
+    mv = pencil.M @ u
+    for mu in ROBUSTNESS_MUS:
+        for K in ROBUSTNESS_KS:
+            system = build_interface_system_dense(pencil, mu, K)
+            values = (1.0 / mu) * lam**-0.5 + (K / mu) * lam**0.5
+            want = (mv * values) @ mv.T
+            want = 0.5 * (want + want.T)
+            assert np.array_equal(system, system.T)
+            assert np.linalg.norm(system - want) <= 1e-12 * np.linalg.norm(want)
+    assert sorted(pencil._forms) == [-0.5, 0.5]
 
 
 def test_fourier_system_matches_dense():

@@ -167,18 +167,38 @@ def test_shifted_interface_positive():
     assert lam[0] >= 1.0 - 1e-10
 
 
-@pytest.mark.parametrize("n", [3, 64, 131072])
+def _ring_by_coo(n):
+    """The closed-curve P1 matrices through a COO round trip, and the bound
+    rho_upper_bound took from them by sparse row sums."""
+    h = 1.0 / n
+    i = np.arange(n)
+    rows = np.concatenate([i, i, i])
+    cols = np.concatenate([i, (i + 1) % n, (i - 1) % n])
+    a_vals = np.concatenate([np.full(n, 2.0 / h), np.full(n, -1.0 / h), np.full(n, -1.0 / h)])
+    m_vals = np.concatenate([np.full(n, 4.0 * h / 6.0), np.full(n, h / 6.0), np.full(n, h / 6.0)])
+    A = sp.coo_matrix((a_vals, (rows, cols)), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr()
+
+    def bound(A):
+        return 2 * float(np.max(1.0 / M.diagonal())) * float(np.max(abs(A).sum(axis=1)))
+
+    return A, M, bound
+
+
+@pytest.mark.parametrize("n", [3, 4, 64, 131072])
 def test_interface_matches_periodic_stiffness_plus_mass(n):
-    # One set of triplets gives bitwise the pencil (A_per + M, M) that the
-    # sum of the periodic pencil's sparse matrices gives, with the same bound.
-    base = assemble_interval(n, periodic=True)
-    ref = OperatorPencil((base.A + base.M).tocsr(), base.M, spatial_dimension=1)
-    rho_upper_bound(ref)
-    p = assemble_interface(n)
-    for got, want in ((p.A, ref.A), (p.M, ref.M)):
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
-    assert p.rho_bound == ref.rho_bound
+    # The ring's CSR arrays, built directly in sorted column order, are
+    # bitwise those of the COO round trip: the periodic pencil (A_per, M) and
+    # the interface pencil (A_per + M, M) with the sparse sum, with the same
+    # bound.
+    A, M, bound = _ring_by_coo(n)
+    shifted = (A + M).tocsr()
+    for p, want_A in ((assemble_interval(n, periodic=True), A), (assemble_interface(n), shifted)):
+        for got, want in ((p.A, want_A), (p.M, M)):
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(got, attr).dtype == getattr(want, attr).dtype
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert p.rho_bound == bound(want_A)
     with pytest.raises(ValueError):
         assemble_interface(2)
 
@@ -215,3 +235,51 @@ def test_pencil_rejects_asymmetric():
     M = sp.identity(2, format="csr")
     with pytest.raises(ValueError):
         OperatorPencil(A, M, spatial_dimension=1)
+
+
+def test_symmetry_check_compares_canonical_data():
+    # A canonical CSR matrix with its transpose's pattern is checked on its
+    # data arrays: one entry off by 1e-9 relative fails, the matrix passes.
+    ring = assemble_interface(16)
+    assert ring.A.has_canonical_format
+    OperatorPencil(ring.A, ring.M, spatial_dimension=1)
+    A = ring.A.copy()
+    A.data[1] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="A must be symmetric"):
+        OperatorPencil(A, ring.M, spatial_dimension=1)
+
+
+def _sparse_difference_verdict(mat):
+    """The symmetry verdict as the sparse difference |mat - mat^T| gives it."""
+    asym = abs(mat - mat.T)
+    scale = max(abs(mat).max(), np.finfo(float).tiny)
+    return not (asym.nnz and asym.max() > 1e-12 * scale)
+
+
+@pytest.mark.parametrize("entries,symmetric", [
+    # duplicates in both off-diagonal positions: the transpose has the same
+    # pattern, and the summed entries agree although the stored ones do not
+    (([0, 0, 0, 1, 1, 1], [0, 1, 1, 0, 0, 1], [2.0, 0.25, 0.75, 0.5, 0.5, 2.0]), True),
+    (([0, 0, 0, 1, 1, 1], [0, 1, 1, 0, 0, 1], [2.0, 0.25, 0.5, 0.5, 0.5, 2.0]), False),
+    # unsorted column indices
+    (([0, 0, 1, 1], [1, 0, 1, 0], [1.0, 2.0, 2.0, 1.0]), True),
+    (([0, 0, 1, 1], [1, 0, 1, 0], [1.0, 2.0, 2.0, 1.5]), False),
+])
+def test_symmetry_check_of_non_canonical_matrices(entries, symmetric):
+    # The pencil sums duplicates and sorts indices before its check, so its
+    # verdict is that of the sparse difference, and it stores canonical CSR.
+    rows, cols, vals = (np.array(x) for x in entries)
+
+    def matrix():
+        return sp.csr_matrix((vals.copy(), cols.copy(), np.searchsorted(rows, np.arange(3))),
+                             shape=(2, 2))
+
+    assert not matrix().has_canonical_format
+    assert _sparse_difference_verdict(matrix()) == symmetric
+    if symmetric:
+        p = OperatorPencil(matrix(), sp.identity(2, format="csr"), spatial_dimension=1)
+        assert p.A.has_canonical_format
+        assert np.array_equal(p.A.toarray(), matrix().toarray())
+    else:
+        with pytest.raises(ValueError, match="A must be symmetric"):
+            OperatorPencil(matrix(), sp.identity(2, format="csr"), spatial_dimension=1)
