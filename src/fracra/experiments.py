@@ -25,8 +25,8 @@ from .aaa import DEFAULT_FLOOR_RATIO, fit_for_pencil, fit_fractional_sum
 from .functions import FractionalSumFunction, normalize
 from .krylov import minres, pcg
 from .operator import RationalOperator, spd_audit
-from .pencil import (DENSE_CAP_DEFAULT, assemble_interface, dense_eigendecomposition,
-                     dense_power_form)
+from .pencil import (DENSE_CAP_DEFAULT, _dense_power_form, assemble_interface,
+                     dense_eigendecomposition)
 
 __all__ = [
     "EXPONENT_GRID",
@@ -178,8 +178,8 @@ class FourierInterfaceSystem:
 def build_interface_system_dense(pencil, mu, K, dense_cap=DENSE_CAP_DEFAULT):
     """Dense realization M U F(lam) U^T M of the forward interface symbol,
     (G_- + K G_+) / mu from the pencil's cached forms G_-+ = M U lam^-+1/2 U^T M."""
-    dense_eigendecomposition(pencil, dense_cap)  # here too, so a trace of this binding times it
-    g_minus, g_plus = (dense_power_form(pencil, s, dense_cap) for s in (-0.5, 0.5))
+    dense_eigendecomposition(pencil, dense_cap)  # computed and cached on first use
+    g_minus, g_plus = (_dense_power_form(pencil, s) for s in (-0.5, 0.5))
     return (g_minus + K * g_plus) / mu
 
 

@@ -25,9 +25,9 @@ last row the pencil keeps in its own numbering; each definite shift is
 factorized by LAPACK tridiagonal LDL^T (``pttrf``) of the leading block, and
 the last unknown is eliminated as a one-node border through its Schur
 complement.  The border vector T^{-1} b is solved on two end blocks of T that
-reach just past its decay below the smallest normal double, overlapping where
-that is cheaper than one solve on the whole of T.  Factorization and solve
-both cost O(n).  Every other pencil is ordered once
+reach just past its decay below the smallest normal double, or on the whole
+of T when the blocks would cover it.  Factorization and solve both cost
+O(n).  Every other pencil is ordered once
 by reverse Cuthill-McKee and keeps the lower bands of A and M in that order;
 its definite shifts are factorized by LAPACK banded Cholesky (``pbtrf``) at
 O(n kd^2), with a solve at O(n kd) for half-bandwidth kd, which is about the
@@ -134,16 +134,13 @@ class _BorderedTridiagonal:
     b is given by its nonzeros, the values ``b`` at the positions ``index``
     of the leading block.  On a 1D pencil they sit at the ends of T, and w
     decays geometrically away from them at a ratio bounded by the largest
-    multiplier |E|, so w is the sum of solves on two end blocks of k unknowns,
-    each taking the border positions nearer its end: D[:k], E[:k-1] factor
-    the leading k x k block of T, and D[m-k:], E[m-k:] solve T exactly for a
+    multiplier |E|, so w is solved on two end blocks of k unknowns, each
+    taking the border positions nearer its end: D[:k], E[:k-1] factor the
+    leading k x k block of T, and D[m-k:], E[m-k:] solve T exactly for a
     right-hand side that vanishes above the tail block.  k starts where |E|^k
     falls below the smallest normal double (and covers every border
-    position) and doubles until both inner entries are below it.  Blocks
-    past the middle overlap by 2k - m steps, while a full-length solve's
-    forward sweep carries the head's decay through m - k steps on subnormals,
-    each at least twice as dear as a normal step; so the blocks are cheaper
-    while 2k < m + (m - k), and once 3k >= 2m w is solved on all of T.
+    position) and doubles until both inner entries are below it; once the
+    blocks would cover T (2k >= m), w is solved on the whole of T.
 
     Entries of E and w below the smallest normal double are set to zero.  On
     a strongly shifted ring the decay of w from each end reaches the subnormal
@@ -176,7 +173,7 @@ class _BorderedTridiagonal:
 
         k = m if ratio >= 1.0 else 2 + int(_LOG_TINY / math.log(max(ratio, _TINY)))
         k = max([k] + [min(i, m - 1 - i) + 1 for i in index])
-        while 3 * k < 2 * m:
+        while 2 * k < m:
             blocks = [(0, block_solve(0, k, self.border[:h])),
                       (m - k, block_solve(m - k, m, self.border[h:]))]
             if max(abs(blocks[0][1][-1]), abs(blocks[1][1][0])) < _TINY:
@@ -191,13 +188,11 @@ class _BorderedTridiagonal:
         self.d, self.e, self.w_blocks, self.s = d, e, blocks, s
         self.nnz = m + e_nnz + w_nnz + 1  # pttrf succeeded, so D > 0
 
-    def solve(self, rhs, out=None):
-        """The solution x of [[T, b], [b^T, c]] x = rhs, written to ``out`` if given."""
+    def solve(self, rhs):
         # b.T^{-1} r = w.r because T is symmetric, so the last unknown comes
         # first and the border only patches its few entries of the right-hand
         # side of the one pttrs, which overwrites the contiguous head in place.
-        x = np.empty_like(rhs) if out is None else out
-        x[:] = rhs
+        x = rhs.copy()
         head = x[:-1]
         last = x[-1]
         for lo, w in self.w_blocks:
@@ -372,15 +367,14 @@ class RationalOperator:
         else:
             z = np.zeros_like(rp)
         self.shift_seconds[0] += time.perf_counter() - tic
-        work = np.empty_like(rp)
         for k, (kind, _pole, weight, solver) in enumerate(self._terms):
             tic = time.perf_counter()
-            if isinstance(solver, _BorderedTridiagonal):
-                z += np.multiply(solver.solve(rp, out=work), weight, out=work)
-            elif kind == "real":
-                z += weight * solver.solve(rp)
+            if kind == "real":
+                x = solver.solve(rp)
+                x *= weight
             else:
-                z += 2.0 * np.real(weight * solver.solve(rp.astype(complex)))
+                x = 2.0 * np.real(weight * solver.solve(rp.astype(complex)))
+            z += x
             self.shift_seconds[k + 1] += time.perf_counter() - tic
         self.apply_count += 1
         if self._perm is None:

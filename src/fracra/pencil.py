@@ -28,7 +28,6 @@ __all__ = [
     "assemble_unit_square",
     "rho_upper_bound",
     "dense_eigendecomposition",
-    "dense_power_form",
     "dense_fractional_apply",
     "dense_inverse_fractional_apply",
     "write_matrix",
@@ -62,13 +61,12 @@ class OperatorPencil:
     _forms: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.A, self.M = sp.csr_matrix(self.A), sp.csr_matrix(self.M)
+        self.A, self.M = (_canonical(sp.csr_matrix(mat)) for mat in (self.A, self.M))
         if self.A.shape[0] != self.A.shape[1] or self.A.shape != self.M.shape:
             raise ValueError("A and M must be square with equal shape")
         if self.spatial_dimension not in (1, 2):
             raise ValueError("spatial_dimension must be 1 or 2")
         for name, mat in (("A", self.A), ("M", self.M)):
-            mat.sum_duplicates()  # in place: the stored-piece reads assume canonical CSR
             scale = max(float(np.max(np.abs(mat.data), initial=0.0)), np.finfo(float).tiny)
             if _asymmetry(mat) > 1e-12 * scale:
                 raise ValueError(f"{name} must be symmetric")
@@ -76,6 +74,15 @@ class OperatorPencil:
     @property
     def n_c(self):
         return self.A.shape[0]
+
+
+def _canonical(mat):
+    """mat, or a copy in the canonical CSR (sorted, no duplicates) that the
+    operators' structure reads assume; a caller's matrix is never written."""
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    return mat
 
 
 def _asymmetry(mat):
@@ -152,7 +159,7 @@ def _ring(n, shifted):
     curve as canonical CSR matrices with one pattern: row i holds its diagonal
     and its two distinct neighbours i -+ 1 (mod n) in ascending column order,
     so no entry is summed from duplicates and each entry of the shifted
-    stiffness is bitwise the sum of the two P1 entries."""
+    stiffness is bitwise the sum of the two P1 entries; each owns its arrays."""
     cols = np.arange(n, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)
     cols[0], cols[-1] = (0, 1, n - 1), (0, n - 2, n - 1)
     indptr = np.arange(0, 3 * n + 1, 3, dtype=np.int32)
@@ -161,7 +168,7 @@ def _ring(n, shifted):
         vals = np.full((n, 3), off)
         vals[:, 1] = on
         vals[0], vals[-1] = (on, off, off), (off, off, on)
-        return sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n, n))
+        return sp.csr_matrix((vals.ravel(), cols.ravel().copy(), indptr.copy()), shape=(n, n))
 
     h = 1.0 / n
     m_on, m_off = 4.0 * h / 6.0, h / 6.0
@@ -236,9 +243,9 @@ def dense_eigendecomposition(pencil, dense_cap=DENSE_CAP_DEFAULT):
     return pencil._eig
 
 
-def dense_power_form(pencil, s, dense_cap=DENSE_CAP_DEFAULT):
-    """Dense symmetric M U diag(lam**s) U^T M, cached on the pencil per exponent."""
-    lam, u = dense_eigendecomposition(pencil, dense_cap)
+def _dense_power_form(pencil, s):
+    """Dense symmetric M U diag(lam**s) U^T M from the cached eigenpairs, cached per s."""
+    lam, u = pencil._eig
     if s not in pencil._forms:
         form = (pencil.M @ (u * lam**s)) @ (pencil.M @ u).T
         pencil._forms[s] = 0.5 * (form + form.T)

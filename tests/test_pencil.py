@@ -199,6 +199,8 @@ def test_interface_matches_periodic_stiffness_plus_mass(n):
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype
                 assert np.array_equal(getattr(got, attr), getattr(want, attr))
         assert p.rho_bound == bound(want_A)
+        for attr in ("indptr", "indices"):
+            assert not np.shares_memory(getattr(p.A, attr), getattr(p.M, attr))
     with pytest.raises(ValueError):
         assemble_interface(2)
 
@@ -266,8 +268,9 @@ def _sparse_difference_verdict(mat):
     (([0, 0, 1, 1], [1, 0, 1, 0], [1.0, 2.0, 2.0, 1.5]), False),
 ])
 def test_symmetry_check_of_non_canonical_matrices(entries, symmetric):
-    # The pencil sums duplicates and sorts indices before its check, so its
-    # verdict is that of the sparse difference, and it stores canonical CSR.
+    # The pencil sums duplicates and sorts indices of a copy before its
+    # check, so its verdict is that of the sparse difference, it stores
+    # canonical CSR, and the caller's matrix is left as it was.
     rows, cols, vals = (np.array(x) for x in entries)
 
     def matrix():
@@ -276,10 +279,13 @@ def test_symmetry_check_of_non_canonical_matrices(entries, symmetric):
 
     assert not matrix().has_canonical_format
     assert _sparse_difference_verdict(matrix()) == symmetric
+    given = matrix()
     if symmetric:
-        p = OperatorPencil(matrix(), sp.identity(2, format="csr"), spatial_dimension=1)
+        p = OperatorPencil(given, sp.identity(2, format="csr"), spatial_dimension=1)
         assert p.A.has_canonical_format
         assert np.array_equal(p.A.toarray(), matrix().toarray())
     else:
         with pytest.raises(ValueError, match="A must be symmetric"):
-            OperatorPencil(matrix(), sp.identity(2, format="csr"), spatial_dimension=1)
+            OperatorPencil(given, sp.identity(2, format="csr"), spatial_dimension=1)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(given, attr), getattr(matrix(), attr))
