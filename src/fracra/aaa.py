@@ -502,7 +502,7 @@ def _checked_form(units, c0, c1, form):
     return pf
 
 
-def to_partial_fraction(form, froissart_rtol=FROISSART_RTOL):
+def to_partial_fraction(form):
     """Convert a barycentric interpolant to pole/residue form.
 
     Poles are the finite generalized eigenvalues of the arrowhead pencil built
@@ -585,7 +585,7 @@ def to_partial_fraction(form, froissart_rtol=FROISSART_RTOL):
     if units:
         res_scale = max(abs(c) for _, _, c in units)
         if res_scale > 0:
-            units = [u for u in units if abs(u[2]) > froissart_rtol * res_scale]
+            units = [u for u in units if abs(u[2]) > FROISSART_RTOL * res_scale]
     if form.grid is None:
         if not np.isfinite(c0):
             raise PoleExtractionError("interpolant has no finite value at infinity")

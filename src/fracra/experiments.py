@@ -25,8 +25,7 @@ from .aaa import DEFAULT_FLOOR_RATIO, fit_for_pencil, fit_fractional_sum
 from .functions import FractionalSumFunction, normalize
 from .krylov import minres, pcg
 from .operator import RationalOperator, spd_audit
-from .pencil import (DENSE_CAP_DEFAULT, _dense_power_form, assemble_interface,
-                     dense_eigendecomposition)
+from .pencil import _dense_power_form, assemble_interface, dense_eigendecomposition
 
 __all__ = [
     "EXPONENT_GRID",
@@ -175,10 +174,10 @@ class FourierInterfaceSystem:
         return np.fft.irfft(self.eigenvalues * np.fft.rfft(x), self.n)
 
 
-def build_interface_system_dense(pencil, mu, K, dense_cap=DENSE_CAP_DEFAULT):
+def build_interface_system_dense(pencil, mu, K):
     """Dense realization M U F(lam) U^T M of the forward interface symbol,
     (G_- + K G_+) / mu from the pencil's cached forms G_-+ = M U lam^-+1/2 U^T M."""
-    dense_eigendecomposition(pencil, dense_cap)  # computed and cached on first use
+    dense_eigendecomposition(pencil)  # computed and cached on first use
     g_minus, g_plus = (_dense_power_form(pencil, s) for s in (-0.5, 0.5))
     return (g_minus + K * g_plus) / mu
 
@@ -269,7 +268,7 @@ def pole_sweep(tolerance=1e-12, exponents=EXPONENT_GRID, alphas=POLE_SWEEP_ALPHA
 def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
                      mesh_grid=ROBUSTNESS_MESHES, tolerance=1e-12,
                      tol_krylov=1e-10, seed=0, max_iter=500,
-                     audit_trials=1, dense_cap=DENSE_CAP_DEFAULT):
+                     audit_trials=1):
     """Solve the interface problem over the (mu, K, mesh) grid.
 
     Each point builds one preconditioner, runs both minres and pcg with it to
@@ -285,7 +284,7 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
                                   n_cells=n_cells, n_c=pencil.n_c,
                                   tolerance=tolerance, tol_krylov=tol_krylov)
                 try:
-                    system = build_interface_system_dense(pencil, mu, K, dense_cap)
+                    system = build_interface_system_dense(pencil, mu, K)
                     pf, precond, setup = _fit_preconditioner(
                         pencil, mu, K, tolerance)
                     g = interface_rhs(pencil, seed)

@@ -17,9 +17,10 @@ factorization is their definiteness check:
 * a real pole above the pencil's ``rho_bound`` gives a negative definite
   A - p M, so p M - A is factorized and the solve negated.
 
-Which pieces are stored depends on the pattern of A and M.  Every 1D pencil
-is tridiagonal once its last unknown is removed (the Dirichlet interval
-exactly, the closed curve apart from the unknown that closes the ring), which
+Which pieces are stored depends on the pattern of A and M.  A 1D pencil of
+at least three unknowns, numbered along its curve, is tridiagonal once its
+last unknown is removed (the Dirichlet interval exactly, the closed curve
+apart from the unknown that closes the ring), which
 one read of the CSR arrays of A and M shows, along with the diagonals and the
 last row the pencil keeps in its own numbering; each definite shift is
 factorized by LAPACK tridiagonal LDL^T (``pttrf``) of the leading block, and
@@ -27,14 +28,13 @@ the last unknown is eliminated as a one-node border through its Schur
 complement.  The border vector T^{-1} b is solved on two end blocks of T that
 reach just past its decay below the smallest normal double, or on the whole
 of T when the blocks would cover it.  Factorization and solve both cost
-O(n).  Every other pencil is ordered once
-by reverse Cuthill-McKee and keeps the lower bands of A and M in that order;
-its definite shifts are factorized by LAPACK banded Cholesky (``pbtrf``) at
-O(n kd^2), with a solve at O(n kd) for half-bandwidth kd, which is about the
-number of cells per side on the unit square, where large meshes factorize
-slower than sparse LU would.
+O(n).  Every other pencil factorizes its definite shifts by sparse LU
+(``splu``) in symmetric mode: a minimum-degree ordering of A + A^T applied to
+rows and columns alike and diagonal pivots only, so the pivots are those of
+an LDL^T and their signs give the inertia of the shift (Sylvester's law).
 The indefinite shifts, real poles in (0, rho_bound] and complex conjugate
-pairs, are factorized by sparse LU (``splu``) on either path.
+pairs, are factorized by sparse LU with its default partial pivoting on
+either path.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -96,20 +95,6 @@ def _bordered_tridiagonal(A, M):
         np.add.at(pieces[-1][2], cols, vals)
     index = np.unique(np.concatenate(border))
     return index, [(d[:-1], sub, last[index], d[-1:]) for d, sub, last in pieces]
-
-
-def _half_bandwidth(matrix):
-    coo = matrix.tocoo()
-    return int(np.max(coo.row - coo.col, initial=0))
-
-
-def _lower_band(matrix, kd):
-    """LAPACK lower band storage: ``band[i - j, j] = matrix[i, j]`` for i >= j."""
-    coo = matrix.tocoo()
-    low = coo.row >= coo.col
-    band = np.zeros((kd + 1, matrix.shape[0]), order="F")
-    band[coo.row[low] - coo.col[low], coo.col[low]] = coo.data[low]
-    return band
 
 
 def _flush(x, work):
@@ -205,41 +190,38 @@ class _BorderedTridiagonal:
         return x
 
 
-class _BandCholesky:
-    """Banded Cholesky factor L of an SPD matrix given by its lower bands.
-
-    A failed pivot, or a smallest pivot L_ii^2 at most n*eps times the
-    largest, raises FactorizationError.  Factor entries below the smallest
-    normal double are set to zero: fill that decays geometrically through
-    the subnormal range makes every later solve several times slower, while
-    the flush moves the solution by less than 1e-300 relative.
-    """
-
-    kind = "banded"
-
-    def __init__(self, band, label):
-        factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        if info != 0:
-            raise FactorizationError(
-                f"shifted matrix for {label} is not positive definite (pbtrf info {info})"
-            )
-        pivots = factor[0] ** 2
-        _check_pivots(pivots.min(), pivots.max(), pivots.size, label)
-        factor[np.abs(factor) < _TINY] = 0.0
-        self.factor = factor
-        self.nnz = int(np.count_nonzero(factor))
-
-    def solve(self, rhs):
-        x, _info = dpbtrs(self.factor, rhs, lower=1)
-        return x
-
-
-def _sparse_lu(matrix, label):
-    """Sparse LU of an indefinite or complex shift; the result has ``solve`` and ``nnz``."""
+def _sparse_lu(matrix, label, **options):
+    """Sparse LU of a shift; the result has ``solve`` and ``nnz``."""
     try:
-        return splu(matrix.tocsc())
+        return splu(matrix.tocsc(), **options)
     except RuntimeError as exc:
         raise FactorizationError(f"factorization failed for {label}: {exc}") from exc
+
+
+def _definite_lu(matrix, label):
+    """Symmetric-mode sparse LU of a shift that must be positive definite.
+
+    With diagonal pivots only and the same permutation on rows and columns,
+    the diagonal of U holds the pivots of an LDL^T of the permuted shift.  A
+    row interchange, a pivot that is not positive, or a smallest pivot at
+    most n*eps times the largest raises FactorizationError.
+    """
+    lu = _sparse_lu(matrix, label, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise FactorizationError(
+            f"shifted matrix for {label} is not positive definite "
+            "(a zero pivot needed a row interchange)"
+        )
+    pivots = lu.U.diagonal()
+    not_positive = int(np.count_nonzero(~(pivots > 0)))
+    if not_positive:
+        raise FactorizationError(
+            f"shifted matrix for {label} is not positive definite "
+            f"({not_positive} of {pivots.size} pivots not positive)"
+        )
+    _check_pivots(pivots.min(), pivots.max(), pivots.size, label)
+    return lu
 
 
 class RationalOperator:
@@ -248,12 +230,11 @@ class RationalOperator:
     Conjugate pole pairs share one complex factorization; the pair contributes
     2*Re(c*w) so the output stays real.  A linear coefficient c1 is realized
     as c1 * M^{-1} A y with y = M^{-1} r the mass solve the constant term
-    already needs, and costs nothing when c1 = 0.  A pencil that is
-    tridiagonal apart from its last unknown is solved in its own numbering;
-    any other is solved in its reverse Cuthill-McKee order, so an apply
-    permutes its input once and its output once.  Contributions are
-    accumulated in place in ascending |pole| order, which makes repeated
-    applies bitwise reproducible.
+    already needs, and costs nothing when c1 = 0.  The definite shifts of a
+    pencil that is tridiagonal apart from its last unknown are bordered
+    tridiagonal LDL^T; those of any other pencil are symmetric-mode sparse
+    LU.  Contributions are accumulated in place in ascending |pole| order,
+    which makes repeated applies bitwise reproducible.
 
     Only real poles in (0, rho_bound] warn: their shifted matrix may be
     indefinite, so it is solved by sparse LU without a definiteness check.  A
@@ -267,21 +248,16 @@ class RationalOperator:
         A, M = pencil.A, pencil.M
         bordered = _bordered_tridiagonal(A, M)
         if bordered is not None:
-            self._perm = None
             index, (a_parts, m_parts) = bordered
             definite = functools.partial(_BorderedTridiagonal, index.tolist(), np.empty(self.n))
         else:
-            self._perm = reverse_cuthill_mckee((abs(A) + abs(M)).tocsr(), symmetric_mode=True)
-            A, M = A.tocsr()[self._perm][:, self._perm], M.tocsr()[self._perm][:, self._perm]
-            kd = max(_half_bandwidth(A), _half_bandwidth(M))
-            a_parts, m_parts = (_lower_band(A, kd),), (_lower_band(M, kd),)
-            definite = _BandCholesky
-        self._A = A
+            a_parts, m_parts = (A,), (M,)
+            definite = _definite_lu
         self.apply_count = 0
 
         def shift(a_sign, m_coef):
             """The stored pieces of a_sign * A + m_coef * M for a_sign in
-            {0, 1, -1}, one new array each."""
+            {0, 1, -1}, one new array or matrix each."""
             pieces = []
             for a, m in zip(a_parts, m_parts):
                 x = m_coef * m
@@ -356,37 +332,32 @@ class RationalOperator:
         r = np.asarray(r, dtype=float)
         if r.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}")
-        rp = r if self._perm is None else r[self._perm]
         tic = time.perf_counter()
         c0, c1 = self.pf.c0, self.pf.c1
         if c0 != 0.0 or c1 != 0.0:
-            y = self._mass_solver.solve(rp)
+            y = self._mass_solver.solve(r)
             z = c0 * y
             if c1 != 0.0:
-                z += c1 * self._mass_solver.solve(self._A @ y)
+                z += c1 * self._mass_solver.solve(self.pencil.A @ y)
         else:
-            z = np.zeros_like(rp)
+            z = np.zeros_like(r)
         self.shift_seconds[0] += time.perf_counter() - tic
         for k, (kind, _pole, weight, solver) in enumerate(self._terms):
             tic = time.perf_counter()
             if kind == "real":
-                x = solver.solve(rp)
+                x = solver.solve(r)
                 x *= weight
             else:
-                x = 2.0 * np.real(weight * solver.solve(rp.astype(complex)))
+                x = 2.0 * np.real(weight * solver.solve(r.astype(complex)))
             z += x
             self.shift_seconds[k + 1] += time.perf_counter() - tic
         self.apply_count += 1
-        if self._perm is None:
-            return z
-        out = np.empty_like(z)
-        out[self._perm] = z
-        return out
+        return z
 
     @property
     def telemetry(self):
         """Apply counters plus per-shift factorization time, stored factor
-        entries and solver (``"tridiagonal"``, ``"banded"`` or ``"lu"``); the
+        entries and solver (``"tridiagonal"`` or ``"lu"``); the
         per-shift lists share the order of ``shift_seconds`` (the mass matrix
         first)."""
         return {

@@ -262,25 +262,25 @@ def _values_on_spectrum(g, lam):
     return vals
 
 
-def dense_fractional_apply(pencil, g, r, dense_cap=DENSE_CAP_DEFAULT):
+def dense_fractional_apply(pencil, g, r):
     """Forward spectral map M U g(lam) U^T M r.
 
     With g the identity this reproduces A r; with g = 1 it reproduces M r.
     This is the system side: it builds the action of the forward symbol.
     """
-    lam, u = dense_eigendecomposition(pencil, dense_cap)
+    lam, u = dense_eigendecomposition(pencil)
     vals = _values_on_spectrum(g, lam)
     mr = pencil.M @ np.asarray(r, dtype=float)
     return pencil.M @ (u @ (vals * (u.T @ mr)))
 
 
-def dense_inverse_fractional_apply(pencil, f, b, dense_cap=DENSE_CAP_DEFAULT):
+def dense_inverse_fractional_apply(pencil, f, b):
     """Inverse spectral map U f(lam) U^T b with f the reciprocal symbol.
 
     Exact inverse of :func:`dense_fractional_apply` when f = 1/g; this is the
     ground truth the shifted-solve operators are checked against.
     """
-    lam, u = dense_eigendecomposition(pencil, dense_cap)
+    lam, u = dense_eigendecomposition(pencil)
     vals = _values_on_spectrum(f, lam)
     return u @ (vals * (u.T @ np.asarray(b, dtype=float)))
 

@@ -137,11 +137,18 @@ def test_positive_pole_warns_but_solves():
 
 def test_singular_shift_reports_pole():
     # The plain periodic stiffness is singular, so a pole at zero cannot be
-    # factorized as an SPD shift.
-    pencil = assemble_interval(32, periodic=True)
+    # factorized as an SPD shift.  Numbered at random, the ring is not
+    # tridiagonal apart from its last unknown and takes symmetric-mode sparse
+    # LU, whose smallest pivot comes out positive (+5e-15): only the pivot
+    # ratio shows the singularity.
+    ring = assemble_interval(32, periodic=True)
+    perm = np.random.default_rng(0).permutation(ring.n_c)
+    scrambled = OperatorPencil(ring.A[perm][:, perm], ring.M[perm][:, perm],
+                               spatial_dimension=1)
     pf = PartialFraction(0.0, [1.0], [0.0], 1e-12)
-    with pytest.raises(FactorizationError, match="pole"):
-        RationalOperator(pf, pencil)
+    for pencil in (ring, scrambled):
+        with pytest.raises(FactorizationError, match="pole .* is numerically singular"):
+            RationalOperator(pf, pencil)
 
 
 def test_linearity():
@@ -200,13 +207,13 @@ def test_apply_count_telemetry():
     assert all(nnz >= pencil.n_c for nnz in telemetry["factor_nnz"])
     assert telemetry["shift_solvers"] == ["tridiagonal", "tridiagonal"]
 
-    # a wide pencil is banded; a positive pole below rho_bound and a complex
-    # pair (ascending |pole| order) are sparse LU
+    # a wide pencil's mass matrix, a positive pole below rho_bound and a
+    # complex pair (ascending |pole| order) are all sparse LU
     c, p = 0.5 + 0.25j, -2.0 + 1.0j
     pf = PartialFraction(0.0, [1.0, c, np.conj(c)], [0.5, p, np.conj(p)], 1e-12)
     with pytest.warns(RuntimeWarning, match="positive pole"):
         op = RationalOperator(pf, assemble_unit_square(6))
-    assert op.telemetry["shift_solvers"] == ["banded", "lu", "lu"]
+    assert op.telemetry["shift_solvers"] == ["lu", "lu", "lu"]
 
 
 def test_spd_audit_positive_operator():
@@ -240,27 +247,35 @@ def _no_sparse_lu(*_args, **_kwargs):
     raise AssertionError("a definite shift reached sparse LU")
 
 
-@pytest.mark.parametrize("make,kd_min", [
-    (lambda: assemble_interval(60, periodic=False), 1),
-    (lambda: assemble_interface(64), 2),
-    (lambda: assemble_unit_square(8), 3),
-])
-def test_banded_apply_matches_dense_spectral_apply(make, kd_min, monkeypatch):
-    # The mass matrix and nonpositive poles are definite shifts; none of them
-    # may fall back to sparse LU.  kd_min is the half-bandwidth of the pencil
-    # in reverse Cuthill-McKee order: the 1D pencils (1 and 2) are tridiagonal
-    # apart from their last unknown and take the bordered LDL^T path instead,
-    # the unit square takes the banded path at least that wide.
-    monkeypatch.setattr(operator_module, "splu", _no_sparse_lu)
+_SYMMETRIC_MODE = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                   "options": {"SymmetricMode": True}}
+
+
+@pytest.mark.parametrize("make,solver", [
+    (lambda: assemble_interval(60, periodic=False), "tridiagonal"),
+    (lambda: assemble_interface(64), "tridiagonal"),
+    (lambda: assemble_unit_square(8), "lu"),
+    (lambda: assemble_interval(3, periodic=False), "lu"),
+], ids=["interval-60", "ring-64", "square-8", "interval-3"])
+def test_definite_apply_matches_dense_spectral_apply(make, solver, monkeypatch):
+    # The mass matrix and nonpositive poles are definite shifts.  The 1D
+    # pencils of at least three unknowns are tridiagonal apart from their last
+    # unknown and take the bordered LDL^T path, which calls no sparse LU.  The
+    # unit square, and an interval of two unknowns, take sparse LU, but only in
+    # symmetric mode, whose pivots give the definiteness check.
+    calls = []
+    real_splu = operator_module.splu
+
+    def recording_splu(matrix, **options):
+        calls.append(options)
+        return real_splu(matrix, **options)
+
+    monkeypatch.setattr(operator_module, "splu", recording_splu)
     pencil = make()
     pf = PartialFraction(0.2, [1.0, 0.5, 3.0], [-2.0, 0.0, -50.0], 1e-12)
     op = RationalOperator(pf, pencil)
-    if pencil.spatial_dimension == 1:
-        assert op.telemetry["shift_solvers"] == ["tridiagonal"] * 4
-        assert op._perm is None
-    else:
-        assert op.telemetry["shift_solvers"] == ["banded"] * 4
-        assert op._mass_solver.factor.shape[0] - 1 >= kd_min
+    assert op.telemetry["shift_solvers"] == [solver] * 4
+    assert calls == ([] if solver == "tridiagonal" else [_SYMMETRIC_MODE] * 4)
     r = np.random.default_rng(10).standard_normal(pencil.n_c)
     symbol = lambda lam: 0.2 + 1.0 / (lam + 2.0) + 0.5 / lam + 3.0 / (lam + 50.0)
     ref = dense_inverse_fractional_apply(pencil, symbol, r)
@@ -269,7 +284,8 @@ def test_banded_apply_matches_dense_spectral_apply(make, kd_min, monkeypatch):
 
 def test_pole_above_rho_is_a_negative_definite_shift(monkeypatch):
     # A - p M is negative definite for p > rho_bound: it is factorized as
-    # p M - A by banded Cholesky, without the positive-pole warning.
+    # p M - A by the ring's bordered tridiagonal LDL^T, without the
+    # positive-pole warning.
     monkeypatch.setattr(operator_module, "splu", _no_sparse_lu)
     pencil = assemble_interface(256)
     rho = pencil.rho_bound
@@ -284,19 +300,30 @@ def test_pole_above_rho_is_a_negative_definite_shift(monkeypatch):
 
 
 def test_negative_definite_pencil_reports_pole():
-    # -A of a Dirichlet interval is negative definite, so the pole at zero
-    # is not an SPD shift.
-    base = assemble_interval(32, periodic=False)
-    pencil = OperatorPencil(-base.A, base.M, spatial_dimension=1)
+    # -A of a Dirichlet interval or of the unit square is negative definite,
+    # and A - 2000 M of the unit square and the swap [[0, 1], [1, 0]] are
+    # indefinite, so the pole at zero is not an SPD shift.  The interval fails
+    # in pttrf; the squares fail the sign of their symmetric-mode LU pivots.
+    # The swap's pivots come out positive, but only after a row interchange.
+    interval, square, fine = (assemble_interval(32, periodic=False),
+                              assemble_unit_square(8), assemble_unit_square(31))
+    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     pf = PartialFraction(0.0, [1.0], [0.0], 1e-12)
-    with pytest.raises(FactorizationError, match="pole"):
-        RationalOperator(pf, pencil)
+    for A, M, dim, match in (
+        (-interval.A, interval.M, 1, r"\(pttrf info 1\)"),
+        (-square.A, square.M, 2, r"\(49 of 49 pivots not positive\)"),
+        (fine.A - 2000.0 * fine.M, fine.M, 2, r"\(121 of 900 pivots not positive\)"),
+        (swap, sp.identity(2, format="csr"), 2, r"\(a zero pivot needed a row interchange\)"),
+    ):
+        pencil = OperatorPencil(A, M, spatial_dimension=dim)
+        with pytest.raises(FactorizationError, match="pole .* not positive definite " + match):
+            RationalOperator(pf, pencil)
 
 
 def _stored_arrays(solver):
     """Every array a definite solver keeps for its solves."""
-    if solver.kind == "banded":
-        return [solver.factor]
+    if not isinstance(solver, operator_module._BorderedTridiagonal):
+        return [solver.L.data, solver.U.data]
     return [solver.d, solver.e, *(w for _lo, w in solver.w_blocks), np.array([solver.s])]
 
 
@@ -316,12 +343,12 @@ def _circulant_solve(n, pole, r):
 
 def test_band_factors_hold_no_subnormal_entries():
     # A strongly shifted ring's border solve w = T^-1 b decays geometrically
-    # from both ends of the leading block through the subnormal range.  A ring
-    # numbered at random is not tridiagonal apart from its last unknown, so it
-    # takes the banded path in reverse Cuthill-McKee order, where the fill
-    # coupling the two arms of the ordering does the same.  Stored entries
-    # below the smallest normal double are flushed to zero, which keeps every
-    # solve at full speed.
+    # from both ends of the leading block through the subnormal range; stored
+    # entries below the smallest normal double are flushed to zero, which
+    # keeps every solve at full speed.  A ring numbered at random is not
+    # tridiagonal apart from its last unknown, so it takes symmetric-mode
+    # sparse LU, whose factors hold no subnormal entry either and whose count
+    # of stored entries is exactly its nonzeros.
     tiny = np.finfo(float).tiny
     poles = [-1.0, -1e6, -1e11]
     pf = PartialFraction(1.0, [1.0] * 3, poles, 1e-12)
@@ -330,7 +357,7 @@ def test_band_factors_hold_no_subnormal_entries():
     scrambled = OperatorPencil(base.A[perm][:, perm], base.M[perm][:, perm],
                                spatial_dimension=1)
     for pencil, order, kind in ((ring, np.arange(ring.n_c), "tridiagonal"),
-                                (scrambled, perm, "banded")):
+                                (scrambled, perm, "lu")):
         op = RationalOperator(pf, pencil)
         assert set(op.telemetry["shift_solvers"]) == {kind}
         solvers = [op._mass_solver] + [solver for *_, solver in op._terms]
