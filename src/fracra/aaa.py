@@ -13,6 +13,7 @@ interpolant at infinity.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -57,7 +58,7 @@ FROISSART_RTOL = 1e-13
 # tolerance is absolute, so the window must keep the sampled values below
 # roughly tolerance/eps for the fit to be able to terminate; deep floors also
 # force the root-exponential regime of fractional-power approximation and
-# inflate the pole count beyond what a degree-30 budget can absorb.
+# inflate the pole count beyond what the MAX_DEGREE budget can absorb.
 DEFAULT_FLOOR_RATIO = 5e-3
 # The greedy loop stops once the deviation is safely below tolerance. Iterates
 # that only just meet the target are transitional and occasionally carry stray
@@ -66,6 +67,10 @@ STOP_SAFETY = 0.5
 # A real pole beyond this multiple of the fit grid's extent is a candidate for
 # the pole at infinity, folded into the linear term of the partial fraction.
 FOLD_RATIO = 1e3
+# Default cap on the support additions of a fit beyond the first.
+MAX_DEGREE = 30
+# Grid samples of a pencil fit.
+PENCIL_SAMPLES = 1000
 
 
 class PoleExtractionError(RuntimeError):
@@ -90,7 +95,6 @@ class BarycentricForm:
     error_history: tuple = ()
     grid: np.ndarray = field(default=None, repr=False)
     grid_values: np.ndarray = field(default=None, repr=False)
-    scale: float = 1.0
 
     def __post_init__(self):
         self.support_points = np.asarray(self.support_points, dtype=float)
@@ -136,7 +140,7 @@ def bary_eval(form, x):
     return out.reshape(np.shape(x))
 
 
-def aaa_fit(x, y, tolerance, max_degree=30):
+def aaa_fit(x, y, tolerance, max_degree=MAX_DEGREE):
     """Fit a barycentric rational approximant to the samples ``(x, y)``.
 
     Support points are added greedily at the sample of largest deviation until
@@ -175,7 +179,6 @@ def aaa_fit(x, y, tolerance, max_degree=30):
     if np.any(np.diff(x) == 0):
         raise ValueError("sample abscissae must be distinct")
 
-    scale = max(float(np.max(np.abs(y))), np.finfo(float).tiny)
     # The greedy stops only once the deviation is safely inside the tolerance,
     # but convergence is judged against the tolerance itself.
     target = STOP_SAFETY * tolerance
@@ -203,7 +206,6 @@ def aaa_fit(x, y, tolerance, max_degree=30):
         error_history=tuple(history),
         grid=x,
         grid_values=y,
-        scale=scale,
     )
 
 
@@ -327,17 +329,18 @@ class PartialFraction:
     samples it was derived from (None when unknown).  ``converged`` is the
     fit's verdict against its tolerance (:attr:`BarycentricForm.converged`;
     None when unknown); like ``fit_error`` it survives rescaling.
+    ``pole_audit`` is derived from the poles.
     """
 
     c0: float
     residues: np.ndarray
     poles: np.ndarray
     tolerance: float
-    pole_audit: PoleAudit = None
     fit_error: float = None
     validation_error: float = None
     c1: float = 0.0
     converged: bool = None
+    pole_audit: PoleAudit = field(init=False)
 
     def __post_init__(self):
         self.residues = np.atleast_1d(np.asarray(self.residues, dtype=complex))
@@ -359,12 +362,20 @@ class PartialFraction:
                 raise ValueError("complex poles must form exact conjugate pairs with conjugate residues")
         self._real_idx = np.flatnonzero(real_mask)
         self._pair_idx = np.flatnonzero(self.poles.imag > 0.0)
-        if self.pole_audit is None:
-            self.pole_audit = _audit_poles(self.poles)
+        self.pole_audit = _audit_poles(self.poles)
 
     @property
     def degree(self):
         return self.poles.size
+
+    @functools.cached_property
+    def terms(self):
+        """(kind, pole, residue) per real pole ("real", real scalars) and per
+        conjugate pair ("pair", the pole with positive imaginary part), in
+        ascending |pole| order."""
+        terms = [("real", self.poles[k].real, self.residues[k].real) for k in self._real_idx]
+        terms += [("pair", self.poles[k], self.residues[k]) for k in self._pair_idx]
+        return sorted(terms, key=_term_order)
 
     def __call__(self, x):
         return eval_pf(self, x)
@@ -402,36 +413,38 @@ def _symmetrize_conjugates(poles, residues):
     return units
 
 
+def _term_order(term):
+    """Sort key of a (kind, pole, residue) term: ascending |pole|."""
+    pole = term[1]
+    return abs(pole), pole.real, abs(pole.imag)
+
+
 def _units_to_arrays(units):
     """Expand (kind, pole, residue) units into arrays sorted by |pole|."""
-    units = sorted(units, key=lambda u: (abs(u[1]), u[1].real, abs(u[1].imag)))
     poles, residues = [], []
-    for kind, p, c in units:
-        if kind == "real":
-            poles.append(p)
-            residues.append(c)
-        else:
-            poles.append(p)
-            residues.append(c)
+    for kind, p, c in sorted(units, key=_term_order):
+        poles.append(p)
+        residues.append(c)
+        if kind == "pair":
             poles.append(np.conj(p))
             residues.append(np.conj(c))
     return np.asarray(poles, dtype=complex), np.asarray(residues, dtype=complex)
 
 
-def _polish_poles(poles, zj, wj, max_steps=10):
+def _polish_poles(poles, zj, wj):
     """Newton-refine roots of the barycentric denominator sum(w/(x-z)).
 
     The arrowhead eigensolve locates poles with absolute accuracy only, which
     is poor relative accuracy for poles much smaller than the support scale.
-    A few Newton steps on the denominator restore componentwise accuracy; a
-    pole's step is kept only while it decreases |denominator|, and that pole
-    stops at the first step that does not.
+    Up to ten Newton steps on the denominator restore componentwise accuracy;
+    a pole's step is kept only while it decreases |denominator|, and that
+    pole stops at the first step that does not.
     """
     polished = np.array(poles, dtype=complex)
     with np.errstate(all="ignore"):
         best_val = np.abs((wj / (polished[:, None] - zj)).sum(axis=1))
         active = np.arange(polished.size)
-        for _ in range(max_steps):
+        for _ in range(10):
             if active.size == 0:
                 break
             current = polished[active]
@@ -496,36 +509,39 @@ def _checked_form(units, c0, c1, form):
     pf = PartialFraction(c0, residues, poles, form.tolerance,
                          fit_error=form.achieved_error, c1=c1,
                          converged=form.converged)
-    if form.grid is not None:
-        deviation = np.max(np.abs(eval_pf(pf, form.grid) - form.grid_values))
-        pf.validation_error = float(deviation)
+    deviation = np.max(np.abs(eval_pf(pf, form.grid) - form.grid_values))
+    pf.validation_error = float(deviation)
     return pf
 
 
 def to_partial_fraction(form):
     """Convert a barycentric interpolant to pole/residue form.
 
-    Poles are the finite generalized eigenvalues of the arrowhead pencil built
-    from the weights and support points, polished by Newton steps on the
-    barycentric denominator.  Residues start from the numerator over the
-    denominator derivative at each pole; when the fit grid is attached they
-    are then re-solved by least squares, which keeps the converted form
-    consistent with the interpolant to machine level.  Spurious poles with
-    negligible residues are dropped and the form is re-validated.
+    The form must carry its fit grid, as every form of :func:`aaa_fit` does;
+    a form without one raises ValueError.  Poles are the finite generalized
+    eigenvalues of the arrowhead pencil built from the weights and support
+    points, polished by Newton steps on the barycentric denominator.
+    Residues start from the numerator over the denominator derivative at each
+    pole and are then re-solved by least squares on the grid, which keeps the
+    converted form consistent with the interpolant to machine level.
+    Spurious poles with negligible residues are dropped and the form is
+    validated against the grid samples.
 
     An interpolant whose denominator has lost a degree (weights summing to
     zero) has a pole at infinity, which the eigensolve returns as a huge or
-    infinite eigenvalue.  When the fit grid is attached, the largest real pole
-    beyond ``FOLD_RATIO`` times the grid, or the lost pole, is then folded
-    into the linear term ``c1*x``, with c0, c1 and the remaining residues
-    re-solved by least squares.  The fold is kept only if the folded form
-    meets the fit tolerance on the samples and its deviation there is at most
-    the larger of the unfolded form's and the interpolant's, so a genuine
-    large pole is not traded for a worse form.
+    infinite eigenvalue.  The largest real pole beyond ``FOLD_RATIO`` times
+    the grid, or the lost pole, is then folded into the linear term ``c1*x``,
+    with c0, c1 and the remaining residues re-solved by least squares.  The
+    fold is kept only if the folded form meets the fit tolerance on the
+    samples and its deviation there is at most the larger of the unfolded
+    form's and the interpolant's, so a genuine large pole is not traded for a
+    worse form.
 
     Raises PoleExtractionError when the eigenvalue computation fails or the
     form has no finite constant term, and warns about nearly coincident poles.
     """
+    if form.grid is None:
+        raise ValueError("conversion needs the fit grid the form was fitted on")
     zj, fj, wj = form.support_points, form.support_values, form.weights
     m = zj.size
     at_infinity = False
@@ -586,11 +602,8 @@ def to_partial_fraction(form):
         res_scale = max(abs(c) for _, _, c in units)
         if res_scale > 0:
             units = [u for u in units if abs(u[2]) > FROISSART_RTOL * res_scale]
-    if form.grid is None:
-        if not np.isfinite(c0):
-            raise PoleExtractionError("interpolant has no finite value at infinity")
-        return _checked_form(units, c0, 0.0, form)
 
+    values = bary_eval(form, form.grid)
     kept = units
     if units:
         kinds, p, c = (np.array(v) for v in zip(*units))
@@ -600,11 +613,9 @@ def to_partial_fraction(form):
         weight = np.where(kinds == "real", 1.0, 2.0) * np.abs(c)
         used = weight / dist > 0.05 * form.tolerance
         kept = [u for u, keep in zip(units, used) if keep]
-    values = bary_eval(form, form.grid)
-    # A constant interpolant keeps its exact barycentric value as c0.
-    if units:
         pf = _checked_form(*_refit_residues(kept, form.grid, values, c0), form)
     else:
+        # A constant interpolant keeps its exact barycentric value as c0.
         pf = _checked_form(kept, c0, 0.0, form)
 
     reach = FOLD_RATIO * np.max(np.abs(form.grid))
@@ -664,9 +675,8 @@ def scale_to_interval(pf, rho):
     """
     if rho <= 0:
         raise ValueError("interval scaling factor must be positive")
-    # The pole audit is relative to the pole scale, so it is taken afresh.
     return replace(pf, residues=pf.residues * rho, poles=pf.poles * rho,
-                   c1=pf.c1 / rho, pole_audit=None)
+                   c1=pf.c1 / rho)
 
 
 def denormalize(pf, leading_weight):
@@ -678,7 +688,7 @@ def denormalize(pf, leading_weight):
                    poles=pf.poles.copy(), c1=pf.c1 / leading_weight)
 
 
-def fit_fractional_sum(func, tolerance, max_degree=30, n_samples=2000,
+def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=2000,
                        floor_ratio=DEFAULT_FLOOR_RATIO):
     """Fit the reciprocal fractional-sum ``func`` on its interval.
 
@@ -698,20 +708,20 @@ def fit_fractional_sum(func, tolerance, max_degree=30, n_samples=2000,
     return scale_to_interval(pf, func.interval_upper)
 
 
-def fit_for_pencil(alpha, beta, s, t, pencil, tolerance, max_degree=30,
-                   n_samples=1000, floor_ratio=None):
+def fit_for_pencil(alpha, beta, s, t, pencil, tolerance, floor_ratio=None):
     """Fit 1/(alpha*x**s + beta*x**t) over the pencil's spectral interval.
 
     The fit interval is (0, rho] with rho the pencil's stored upper bound on
-    the generalized spectrum.  By default the sample grid starts half a
-    possible eigenvalue below the smallest one (the generalized spectrum of an
-    assembled pencil lies in [lambda_min, rho] and the fit only has to be
+    the generalized spectrum, sampled at ``PENCIL_SAMPLES`` points, and the
+    degree is at most ``MAX_DEGREE``.  By default the sample grid starts half
+    a possible eigenvalue below the smallest one (the generalized spectrum of
+    an assembled pencil lies in [lambda_min, rho] and the fit only has to be
     accurate there), which keeps the pole count low on fine meshes.
     """
     if floor_ratio is None:
         floor_ratio = min(DEFAULT_FLOOR_RATIO, 0.5 / pencil.rho_bound)
     func = FractionalSumFunction(alpha, beta, s, t, pencil.rho_bound)
-    return fit_fractional_sum(func, tolerance, max_degree, n_samples, floor_ratio)
+    return fit_fractional_sum(func, tolerance, MAX_DEGREE, PENCIL_SAMPLES, floor_ratio)
 
 
 def partial_fraction_to_dict(pf):

@@ -11,10 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments
-from .aaa import DEFAULT_FLOOR_RATIO, fit_fractional_sum, partial_fraction_to_dict
+from .aaa import DEFAULT_FLOOR_RATIO, MAX_DEGREE, fit_fractional_sum, partial_fraction_to_dict
 from .functions import FractionalSumFunction
 from .krylov import CurvatureBreakdownError, IndefinitePreconditionerError
 from .operator import FactorizationError
@@ -150,7 +148,7 @@ def build_parser():
     p_fit.add_argument("--s", type=float, required=True)
     p_fit.add_argument("--t", type=float, required=True)
     p_fit.add_argument("--tol", type=float, required=True)
-    p_fit.add_argument("--max-degree", type=int, default=30)
+    p_fit.add_argument("--max-degree", type=int, default=MAX_DEGREE)
     p_fit.add_argument("--grid-points", type=int, default=2000)
     p_fit.add_argument("--floor-ratio", type=float, default=DEFAULT_FLOOR_RATIO)
     p_fit.add_argument("--interval-upper", type=float, default=1.0)
@@ -180,7 +178,7 @@ def build_parser():
                          default=experiments.POLE_SWEEP_ALPHAS)
     p_poles.add_argument("--betas", type=_floats,
                          default=experiments.POLE_SWEEP_BETAS)
-    p_poles.add_argument("--max-degree", type=int, default=30)
+    p_poles.add_argument("--max-degree", type=int, default=MAX_DEGREE)
     p_poles.add_argument("--out", default=None)
     p_poles.add_argument("--summary", default=None)
     p_poles.set_defaults(func=cmd_sweep)

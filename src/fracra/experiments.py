@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .aaa import DEFAULT_FLOOR_RATIO, fit_for_pencil, fit_fractional_sum
+from .aaa import MAX_DEGREE, fit_for_pencil, fit_fractional_sum
 from .functions import FractionalSumFunction, normalize
 from .krylov import minres, pcg
 from .operator import RationalOperator, spd_audit
@@ -201,24 +201,23 @@ def interface_rhs(pencil, seed=0):
     return g
 
 
-def _fit_preconditioner(pencil, mu, K, tol_ra, max_degree=30):
+def _fit_preconditioner(pencil, mu, K, tol_ra):
     """Fit the reciprocal interface symbol and build its shifted-solve operator.
 
     Returns ``(pf, operator, fit_seconds)``; the time covers the fit and pole
     extraction only.
     """
     tic = time.perf_counter()
-    pf = fit_for_pencil(1.0 / mu, K / mu, -0.5, 0.5, pencil, tol_ra,
-                        max_degree=max_degree)
+    pf = fit_for_pencil(1.0 / mu, K / mu, -0.5, 0.5, pencil, tol_ra)
     fit_seconds = time.perf_counter() - tic
     return pf, RationalOperator(pf, pencil), fit_seconds
 
 
-def solve_interface(problem, tol_ra, tol_krylov=1e-10, method="minres", seed=0,
-                    max_iter=500, max_degree=30):
+def solve_interface(problem, tol_ra, tol_krylov=1e-10, method="minres", seed=0):
     """Fit the reciprocal symbol, precondition, and solve S lam = g.
 
-    Returns ``(solution, SolveReport, PartialFraction, setup_seconds)`` where
+    The Krylov solve stops after at most 500 iterations.  Returns
+    ``(solution, SolveReport, PartialFraction, setup_seconds)`` where
     ``setup_seconds`` covers the fit and pole extraction only (factorizations
     excluded).
     """
@@ -226,21 +225,20 @@ def solve_interface(problem, tol_ra, tol_krylov=1e-10, method="minres", seed=0,
         raise ValueError(f"unknown method {method!r}")
     pencil = problem.pencil
     pf, precond, setup_seconds = _fit_preconditioner(
-        pencil, problem.mu, problem.K, tol_ra, max_degree)
+        pencil, problem.mu, problem.K, tol_ra)
     g = interface_rhs(pencil, seed)
     solver = minres if method == "minres" else pcg
-    solution, report = solver(problem.system, precond, g, tol=tol_krylov,
-                              max_iter=max_iter, stop="abs")
+    solution, report = solver(problem.system, precond, g, tol=tol_krylov, stop="abs")
     return solution, report, pf, setup_seconds
 
 
 def pole_sweep(tolerance=1e-12, exponents=EXPONENT_GRID, alphas=POLE_SWEEP_ALPHAS,
-               betas=POLE_SWEEP_BETAS, max_degree=30, n_samples=2000,
-               floor_ratio=DEFAULT_FLOOR_RATIO):
+               betas=POLE_SWEEP_BETAS, max_degree=MAX_DEGREE):
     """Fit every (s, t, alpha, beta) grid point on (0, 1] and record the poles.
 
-    Per-point failures are recorded in the record instead of raised, so the
-    grid is always fully enumerated.
+    Each fit samples :func:`fit_fractional_sum`'s default grid.  Per-point
+    failures are recorded in the record instead of raised, so the grid is
+    always fully enumerated.
     """
     records = []
     for s in exponents:
@@ -255,8 +253,7 @@ def pole_sweep(tolerance=1e-12, exponents=EXPONENT_GRID, alphas=POLE_SWEEP_ALPHA
                         rec.gamma = norm.gamma
                         rec.swapped = norm.swapped
                         tic = time.perf_counter()
-                        pf = fit_fractional_sum(func, tolerance, max_degree,
-                                                n_samples, floor_ratio)
+                        pf = fit_fractional_sum(func, tolerance, max_degree)
                         rec.setup_seconds = time.perf_counter() - tic
                         rec.fill_pf(pf)
                     except Exception as exc:
@@ -267,13 +264,13 @@ def pole_sweep(tolerance=1e-12, exponents=EXPONENT_GRID, alphas=POLE_SWEEP_ALPHA
 
 def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
                      mesh_grid=ROBUSTNESS_MESHES, tolerance=1e-12,
-                     tol_krylov=1e-10, seed=0, max_iter=500,
-                     audit_trials=1):
+                     tol_krylov=1e-10, seed=0, audit_trials=1):
     """Solve the interface problem over the (mu, K, mesh) grid.
 
     Each point builds one preconditioner, runs both minres and pcg with it to
-    the same absolute tolerance, and records iteration counts, pole counts,
-    and a quick definiteness probe of the preconditioner.
+    the same absolute tolerance in at most 500 iterations, and records
+    iteration counts, pole counts, and a quick definiteness probe of the
+    preconditioner.
     """
     by_point = {}
     for n_cells in mesh_grid:
@@ -288,11 +285,9 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
                     pf, precond, setup = _fit_preconditioner(
                         pencil, mu, K, tolerance)
                     g = interface_rhs(pencil, seed)
-                    _, rep_minres = minres(system, precond, g, tol=tol_krylov,
-                                           max_iter=max_iter, stop="abs")
+                    _, rep_minres = minres(system, precond, g, tol=tol_krylov, stop="abs")
                     tic = time.perf_counter()
-                    _, rep_pcg = pcg(system, precond, g, tol=tol_krylov,
-                                     max_iter=max_iter, stop="abs")
+                    _, rep_pcg = pcg(system, precond, g, tol=tol_krylov, stop="abs")
                     rec.solve_seconds = time.perf_counter() - tic
                     rec.fill_pf(pf)
                     rec.setup_seconds = setup
@@ -308,12 +303,11 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
 
 
 def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
-                     mu=1e-2, K=1e-6, tol_krylov=1e-10, seed=0, repeats=3,
-                     max_iter=500):
+                     mu=1e-2, K=1e-6, tol_krylov=1e-10, seed=0, repeats=3):
     """Time the fit setup and the preconditioned solve across mesh doublings.
 
-    Each Krylov iteration is two real FFTs (the exact system) plus O(n) shifted
-    solves; ``setup_seconds`` covers the fit and pole extraction only and
+    Each Krylov iteration (at most 500) is two real FFTs (the exact system)
+    plus O(n) shifted solves; ``setup_seconds`` covers the fit and pole extraction only and
     ``solve_seconds`` the full Krylov loop including preconditioner applies.
     Each timing is the best of ``repeats`` runs.
     """
@@ -342,8 +336,7 @@ def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
                 solve_times = []
                 for _ in range(repeats):
                     tic = time.perf_counter()
-                    _, report = minres(system, precond, g, tol=tol_krylov,
-                                       max_iter=max_iter, stop="abs")
+                    _, report = minres(system, precond, g, tol=tol_krylov, stop="abs")
                     solve_times.append(time.perf_counter() - tic)
                 rec.solve_seconds = min(solve_times)
                 rec.iterations_minres = report.iterations

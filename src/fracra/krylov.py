@@ -8,7 +8,7 @@ either absolutely (the default) or relative to its initial value.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,22 +54,47 @@ class SolveReport:
             "inner_solve_total": int(self.inner_solve_total),
         }
 
-    def csv_row(self):
-        final = self.preconditioned_residual_history[-1]
-        return [self.method, self.iterations, self.converged, final,
-                self.wall_time, self.inner_solve_total]
-
 
 def _as_matvec(op):
-    if op is None:
-        return None
     if hasattr(op, "apply") and callable(op.apply):
         return op.apply
     if sp.issparse(op) or isinstance(op, np.ndarray):
         return lambda v: op @ v
-    if callable(op):
-        return op
     raise TypeError(f"cannot interpret {type(op).__name__} as a linear operator")
+
+
+class _Preconditioner:
+    """A preconditioner (None is the identity) that counts its applies and
+    builds the report of the solve it serves."""
+
+    def __init__(self, precond, method):
+        self.precond, self.method, self.calls = precond, method, 0
+        self.matvec = None if precond is None else _as_matvec(precond)
+        self.tic = time.perf_counter()
+
+    def __call__(self, v):
+        if self.matvec is None:
+            return v.copy()
+        self.calls += 1
+        return self.matvec(v)
+
+    def report(self, iterations, converged, history):
+        solves_per = getattr(self.precond, "solves_per_apply", 1)
+        return SolveReport(iterations, bool(converged), history,
+                           time.perf_counter() - self.tic,
+                           self.calls * solves_per, self.method)
+
+
+def _energy(r, z, iteration):
+    """<r, P r> for z = P r.  A negative value raises at the start (iteration
+    0) and later unless it is within 1e-8 ||r|| ||z||, roundoff that reads 0."""
+    value = float(r @ z)
+    if value < 0:
+        if iteration == 0 or abs(value) > 1e-8 * np.linalg.norm(r) * np.linalg.norm(z):
+            where = f"iteration {iteration}" if iteration else "start"
+            raise IndefinitePreconditionerError(f"<r, Pr> = {value:.3e} at {where}")
+        value = 0.0
+    return value
 
 
 def _check_stop(tol, max_iter, stop):
@@ -84,33 +109,21 @@ def _check_stop(tol, max_iter, stop):
 def pcg(system, precond, b, tol=1e-10, max_iter=500, stop="abs"):
     """Preconditioned conjugate gradients from a zero initial guess.
 
-    ``system`` and ``precond`` may be arrays, sparse matrices, callables, or
-    objects with an ``apply`` method; ``precond=None`` means no
-    preconditioning.  Returns ``(x, SolveReport)``.  A nonpositive curvature
-    direction raises CurvatureBreakdownError; exceeding ``max_iter`` returns
-    with ``converged=False``.
+    ``system`` and ``precond`` may be arrays, sparse matrices, or objects with
+    an ``apply`` method; ``precond=None`` means no preconditioning.  Returns
+    ``(x, SolveReport)``.  A nonpositive curvature direction raises
+    CurvatureBreakdownError; exceeding ``max_iter`` returns with
+    ``converged=False``.
     """
     _check_stop(tol, max_iter, stop)
     amat = _as_matvec(system)
-    pmat = _as_matvec(precond)
+    papply = _Preconditioner(precond, "pcg")
     b = np.asarray(b, dtype=float)
-    tic = time.perf_counter()
-
-    precond_calls = 0
-
-    def papply(v):
-        nonlocal precond_calls
-        if pmat is None:
-            return v.copy()
-        precond_calls += 1
-        return pmat(v)
 
     x = np.zeros_like(b)
     r = b.copy()
     z = papply(r)
-    rho = float(r @ z)
-    if rho < 0:
-        raise IndefinitePreconditionerError(f"<r, Pr> = {rho:.3e} at start")
+    rho = _energy(r, z, 0)
     norm0 = np.sqrt(rho)
     history = [norm0]
     threshold = tol if stop == "abs" else tol * norm0
@@ -129,32 +142,16 @@ def pcg(system, precond, b, tol=1e-10, max_iter=500, stop="abs"):
         x += alpha * p
         r -= alpha * q
         z = papply(r)
-        rho_new = float(r @ z)
-        if rho_new < 0:
-            if abs(rho_new) > 1e-8 * np.linalg.norm(r) * np.linalg.norm(z):
-                raise IndefinitePreconditionerError(
-                    f"<r, Pr> = {rho_new:.3e} at iteration {it + 1}"
-                )
-            rho_new = 0.0
+        it += 1
+        rho_new = _energy(r, z, it)
         norm_k = np.sqrt(rho_new)
         history.append(norm_k)
-        it += 1
         converged = norm_k <= threshold
         if converged or rho_new == 0.0:
             break
         p = z + (rho_new / rho) * p
         rho = rho_new
-
-    solves_per = getattr(precond, "solves_per_apply", 1)
-    report = SolveReport(
-        iterations=it,
-        converged=bool(converged),
-        preconditioned_residual_history=history,
-        wall_time=time.perf_counter() - tic,
-        inner_solve_total=precond_calls * solves_per,
-        method="pcg",
-    )
-    return x, report
+    return x, papply.report(it, converged, history)
 
 
 def minres(system, precond, b, tol=1e-10, max_iter=500, stop="abs"):
@@ -166,43 +163,18 @@ def minres(system, precond, b, tol=1e-10, max_iter=500, stop="abs"):
     """
     _check_stop(tol, max_iter, stop)
     amat = _as_matvec(system)
-    pmat = _as_matvec(precond)
+    papply = _Preconditioner(precond, "minres")
     b = np.asarray(b, dtype=float)
-    tic = time.perf_counter()
-
-    precond_calls = 0
-
-    def papply(v):
-        nonlocal precond_calls
-        if pmat is None:
-            return v.copy()
-        precond_calls += 1
-        return pmat(v)
 
     n = b.size
     x = np.zeros(n)
     r1 = b.copy()
     y = papply(r1)
-    beta_sq = float(r1 @ y)
-    if beta_sq < 0:
-        raise IndefinitePreconditionerError(f"<r, Pr> = {beta_sq:.3e} at start")
-    beta1 = np.sqrt(beta_sq)
+    beta1 = np.sqrt(_energy(r1, y, 0))
     history = [beta1]
     threshold = tol if stop == "abs" else tol * beta1
-
-    def report(it, converged):
-        solves_per = getattr(precond, "solves_per_apply", 1)
-        return SolveReport(
-            iterations=it,
-            converged=bool(converged),
-            preconditioned_residual_history=history,
-            wall_time=time.perf_counter() - tic,
-            inner_solve_total=precond_calls * solves_per,
-            method="minres",
-        )
-
     if beta1 <= threshold:
-        return x, report(0, True)
+        return x, papply.report(0, True, history)
 
     oldb = 0.0
     beta = beta1
@@ -231,14 +203,7 @@ def minres(system, precond, b, tol=1e-10, max_iter=500, stop="abs"):
         r2 = y
         y = papply(r2)
         oldb = beta
-        beta_sq = float(r2 @ y)
-        if beta_sq < 0:
-            if abs(beta_sq) > 1e-8 * np.linalg.norm(r2) * np.linalg.norm(y):
-                raise IndefinitePreconditionerError(
-                    f"<r, Pr> = {beta_sq:.3e} at iteration {it}"
-                )
-            beta_sq = 0.0
-        beta = np.sqrt(beta_sq)
+        beta = np.sqrt(_energy(r2, y, it))
 
         oldeps = epsln
         delta = cs * dbar + sn * alfa
@@ -263,4 +228,4 @@ def minres(system, precond, b, tol=1e-10, max_iter=500, stop="abs"):
         if beta == 0.0:
             break
 
-    return x, report(it, converged)
+    return x, papply.report(it, converged, history)

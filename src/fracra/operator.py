@@ -268,13 +268,6 @@ class RationalOperator:
                 pieces.append(x)
             return pieces
 
-        units = []
-        for k in pf._real_idx:
-            units.append(("real", pf.poles[k].real, pf.residues[k].real))
-        for k in pf._pair_idx:
-            units.append(("pair", pf.poles[k], pf.residues[k]))
-        units.sort(key=lambda u: (abs(u[1]), u[1].real, abs(u[1].imag)))
-
         rho = pencil.rho_bound
         tic = time.perf_counter()
         self._mass_solver = definite(*shift(0, 1.0), "mass matrix")
@@ -283,7 +276,7 @@ class RationalOperator:
         # Each term is (kind, pole, weight, solver); the weight is the residue,
         # negated where the solver factorizes p M - A instead of A - p M.
         self._terms = []
-        for kind, pole, residue in units:
+        for kind, pole, residue in pf.terms:
             tic = time.perf_counter()
             label = f"pole {pole:.6e}"
             weight = residue

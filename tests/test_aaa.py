@@ -125,6 +125,16 @@ def test_non_convergence_reported():
     assert PartialFraction(0.0, [1.0], [-1.0], 1e-12).converged is None
 
 
+def test_conversion_needs_the_fit_grid():
+    x = np.geomspace(1e-3, 1, 200)
+    form = aaa_fit(x, 0.5 / x, 1e-12)
+    gridless = BarycentricForm(form.support_points, form.support_values,
+                               form.weights, form.achieved_error,
+                               form.converged, form.tolerance)
+    with pytest.raises(ValueError, match="fit grid"):
+        to_partial_fraction(gridless)
+
+
 def test_rank_deficient_warns():
     x = np.linspace(0.1, 1, 200)
     y = 1.0 / (x + 1.0)

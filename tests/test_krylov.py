@@ -3,6 +3,7 @@ import pytest
 
 from fracra.krylov import (
     CurvatureBreakdownError,
+    IndefinitePreconditionerError,
     SolveReport,
     minres,
     pcg,
@@ -89,6 +90,17 @@ def test_cg_curvature_breakdown():
         pcg(A, None, b, tol=1e-10, stop="rel")
 
 
+@pytest.mark.parametrize("solver", [pcg, minres])
+def test_indefinite_preconditioner_raises(solver):
+    with pytest.raises(IndefinitePreconditionerError, match="at start"):
+        solver(np.eye(3), -np.eye(3), np.ones(3))
+    # One negative eigenvalue of P: <r, P r> is positive at the start and
+    # negative, far beyond roundoff, at the second iteration.
+    with pytest.raises(IndefinitePreconditionerError, match="at iteration 2"):
+        solver(np.diag([1.0, 2.0, 3.0]), np.diag([1.0, -1.0, 1.0]),
+               np.array([1.0, 0.1, 1.0]))
+
+
 def test_max_iter_exceeded_reports_not_converged():
     pencil = assemble_interval(100, periodic=False)
     b = np.random.default_rng(7).standard_normal(pencil.n_c)
@@ -107,8 +119,6 @@ def test_report_invariants_and_serialization():
     data = report.to_dict()
     assert data["schema"].startswith("fracra.solve_report/")
     assert data["iterations"] == report.iterations
-    row = report.csv_row()
-    assert row[0] == "pcg" and row[1] == report.iterations
 
 
 def test_zero_rhs_trivial():

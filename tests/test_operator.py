@@ -189,6 +189,26 @@ def test_apply_sums_the_terms_bitwise():
     assert np.array_equal(op.apply(r), want)
 
 
+def test_term_order_does_not_depend_on_input_order():
+    # Real poles, a complex pair and a pole above rho_bound, given sorted by
+    # |pole| and scrambled: the form's terms, and so the factorizations and
+    # the apply, come out in the same ascending |pole| order.
+    pencil = assemble_interface(64)
+    c, p = 0.5 + 0.25j, -3.0 + 2.0j
+    above = 3.0 * pencil.rho_bound
+    ordered = PartialFraction(0.2, [0.7, c, np.conj(c), 1.9, -2.3],
+                              [-1.0, p, np.conj(p), -40.0, above], 1e-12)
+    scrambled = PartialFraction(0.2, [-2.3, np.conj(c), 1.9, 0.7, c],
+                                [above, np.conj(p), -40.0, -1.0, p], 1e-12)
+    assert [t[1] for t in scrambled.terms] == [-1.0, p, -40.0, above]
+    ops = [RationalOperator(pf, pencil) for pf in (ordered, scrambled)]
+    r = np.random.default_rng(4).standard_normal(pencil.n_c)
+    assert np.array_equal(ops[0].apply(r), ops[1].apply(r))
+    assert ops[0].shift_solvers == ops[1].shift_solvers == [
+        "tridiagonal", "tridiagonal", "lu", "tridiagonal", "tridiagonal"]
+    assert ops[0].factor_nnz == ops[1].factor_nnz
+
+
 def test_apply_count_telemetry():
     pencil = assemble_interface(32)
     pf = PartialFraction(1.0, [1.0], [-1.0], 1e-12)
