@@ -9,13 +9,17 @@ which applies the reciprocal symbol of the pencil through one solve per pole;
 the linear term reuses the mass solve of the constant term and adds one
 matrix product and one more mass solve.
 
-The definite shifts are factorized from stored pieces of A and M, and the
-factorization is their definiteness check:
+Every real pole is a definite shift, factorized from stored pieces of A and
+M, and the factorization is its definiteness check:
 
 * the mass matrix and every real nonpositive pole give the SPD matrix
   A - p M;
 * a real pole above the pencil's ``rho_bound`` gives a negative definite
-  A - p M, so p M - A is factorized and the solve negated.
+  A - p M, so p M - A is factorized and the solve negated;
+* any other positive pole is factorized as A - p M when that is definite
+  (the pole lies below the spectrum), else as p M - A with the solve
+  negated (above it); when neither is, the pole lies on the spectrum and
+  FactorizationError names it.
 
 Which pieces are stored depends on the pattern of A and M.  A 1D pencil of
 at least three unknowns, numbered along its curve, is tridiagonal once its
@@ -28,21 +32,22 @@ the last unknown is eliminated as a one-node border through its Schur
 complement.  The border vector T^{-1} b is solved on two end blocks of T that
 reach just past its decay below the smallest normal double, or on the whole
 of T when the blocks would cover it.  Factorization and solve both cost
-O(n).  Every other pencil factorizes its definite shifts by sparse LU
-(``splu``) in symmetric mode: a minimum-degree ordering of A + A^T applied to
-rows and columns alike and diagonal pivots only, so the pivots are those of
-an LDL^T and their signs give the inertia of the shift (Sylvester's law).
-The indefinite shifts, real poles in (0, rho_bound] and complex conjugate
-pairs, are factorized by sparse LU with its default partial pivoting on
-either path.
+O(n).  The diagonals, multipliers and full-length border vectors of the
+mass matrix and of every real shift are assembled, factorized and solved in
+place, each in its row of one (3, k, n - 1) array.  Every other pencil
+factorizes its definite shifts by sparse LU (``splu``) in symmetric mode: a
+minimum-degree ordering of A + A^T applied to rows and columns alike and
+diagonal pivots only, so the pivots are those of an LDL^T and their signs
+give the inertia of the shift (Sylvester's law); the count of pivots that
+are not positive, the eigenvalues below a pole on the spectrum, is in its
+error.  Complex conjugate pairs are factorized by sparse LU with its default
+partial pivoting on either path.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +115,12 @@ def _flush(x, work):
 class _BorderedTridiagonal:
     """LDL^T of an SPD matrix [[T, b], [b^T, c]] with T tridiagonal.
 
-    ``pttrf`` factorizes T = L D L^T; the border is eliminated through
-    w = T^{-1} b and the Schur pivot s = c - b.w, so a solve is a dot product
-    with the stored entries of w and one ``pttrs`` on the leading block.  A
-    failed ``pttrf``, or a smallest of the pivots D and s at most n*eps times
-    the largest, raises FactorizationError: a singular ring fails at s alone.
+    ``pttrf`` factorizes T = L D L^T in place in the given ``d`` and ``e``;
+    the border is eliminated through w = T^{-1} b and the Schur pivot
+    s = c - b.w, so a solve is a dot product with the stored entries of w and
+    one ``pttrs`` on the leading block.  A failed ``pttrf``, or a smallest of
+    the pivots D and s at most n*eps times the largest, raises
+    FactorizationError: a singular ring fails at s alone.
 
     b is given by its nonzeros, the values ``b`` at the positions ``index``
     of the leading block.  On a 1D pencil they sit at the ends of T, and w
@@ -125,7 +131,8 @@ class _BorderedTridiagonal:
     right-hand side that vanishes above the tail block.  k starts where |E|^k
     falls below the smallest normal double (and covers every border
     position) and doubles until both inner entries are below it; once the
-    blocks would cover T (2k >= m), w is solved on the whole of T.
+    blocks would cover T (2k >= m), w is solved on the whole of T, in place
+    in ``full``.
 
     Entries of E and w below the smallest normal double are set to zero.  On
     a strongly shifted ring the decay of w from each end reaches the subnormal
@@ -137,7 +144,7 @@ class _BorderedTridiagonal:
 
     kind = "tridiagonal"
 
-    def __init__(self, index, work, d, e, b, c, label):
+    def __init__(self, index, work, d, e, b, c, full, label):
         d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise FactorizationError(
@@ -150,22 +157,23 @@ class _BorderedTridiagonal:
         self.border = list(zip(index, b.tolist()))
         h = sum(2 * i < m for i in index)  # index ascends, so these are the head's
 
-        def block_solve(lo, hi, entries):
-            rhs = np.zeros(hi - lo)
+        def block_solve(lo, entries, rhs):
             for i, value in entries:
                 rhs[i - lo] = value
+            hi = lo + rhs.size
             return dpttrs(d[lo:hi], e[lo:hi - 1], rhs, overwrite_b=1)[0]
 
         k = m if ratio >= 1.0 else 2 + int(_LOG_TINY / math.log(max(ratio, _TINY)))
         k = max([k] + [min(i, m - 1 - i) + 1 for i in index])
         while 2 * k < m:
-            blocks = [(0, block_solve(0, k, self.border[:h])),
-                      (m - k, block_solve(m - k, m, self.border[h:]))]
+            blocks = [(0, block_solve(0, self.border[:h], np.zeros(k))),
+                      (m - k, block_solve(m - k, self.border[h:], np.zeros(k)))]
             if max(abs(blocks[0][1][-1]), abs(blocks[1][1][0])) < _TINY:
                 break
             k *= 2
         else:
-            blocks = [(0, block_solve(0, m, self.border))]
+            full[:] = 0.0
+            blocks = [(0, block_solve(0, self.border, full))]
         w_nnz = sum(_flush(w, work) for _lo, w in blocks)
         s = float(c[0] - sum(value * w[i - lo] for i, value in self.border
                              for lo, w in blocks if lo <= i < lo + w.size))
@@ -232,14 +240,14 @@ class RationalOperator:
     as c1 * M^{-1} A y with y = M^{-1} r the mass solve the constant term
     already needs, and costs nothing when c1 = 0.  The definite shifts of a
     pencil that is tridiagonal apart from its last unknown are bordered
-    tridiagonal LDL^T; those of any other pencil are symmetric-mode sparse
-    LU.  Contributions are accumulated in place in ascending |pole| order,
-    which makes repeated applies bitwise reproducible.
-
-    Only real poles in (0, rho_bound] warn: their shifted matrix may be
-    indefinite, so it is solved by sparse LU without a definiteness check.  A
-    built operator is immutable apart from its telemetry counters, so
-    concurrent applies are safe when the telemetry is not needed.
+    tridiagonal LDL^T, held in rows of one buffer; those of any other pencil
+    are symmetric-mode sparse LU.  Every real pole is a definite shift, of
+    A - p M or of p M - A, and a real pole for which neither is definite lies
+    on the spectrum and raises FactorizationError.  Contributions are
+    accumulated in place in ascending |pole| order, which makes repeated
+    applies bitwise reproducible.  A built operator is immutable apart from
+    its telemetry counters, so concurrent applies are safe when the telemetry
+    is not needed.
     """
 
     def __init__(self, pf, pencil):
@@ -249,51 +257,62 @@ class RationalOperator:
         bordered = _bordered_tridiagonal(A, M)
         if bordered is not None:
             index, (a_parts, m_parts) = bordered
-            definite = functools.partial(_BorderedTridiagonal, index.tolist(), np.empty(self.n))
+            index, work = index.tolist(), np.empty(self.n)
+            # D, E and full-length W of the mass matrix and every real shift
+            buffer = np.empty((3, 1 + sum(kind == "real" for kind, *_ in pf.terms), self.n - 1))
         else:
             a_parts, m_parts = (A,), (M,)
-            definite = _definite_lu
         self.apply_count = 0
 
-        def shift(a_sign, m_coef):
-            """The stored pieces of a_sign * A + m_coef * M for a_sign in
-            {0, 1, -1}, one new array or matrix each."""
+        def definite(row, a_sign, m_coef, label):
+            """The definite factorization of a_sign * A + m_coef * M for a_sign
+            in {0, 1, -1}, assembled into its buffer row on the 1D path and
+            into a new matrix elsewhere."""
+            outs = ((None,) if bordered is None
+                    else (buffer[0, row], buffer[1, row, :-1], None, None))
             pieces = []
-            for a, m in zip(a_parts, m_parts):
-                x = m_coef * m
+            for a, m, out in zip(a_parts, m_parts, outs):
+                x = m_coef * m if out is None else np.multiply(m_coef, m, out=out)
                 if a_sign > 0:
                     x += a
                 elif a_sign < 0:
                     x -= a
                 pieces.append(x)
-            return pieces
+            if bordered is None:
+                return _definite_lu(*pieces, label)
+            return _BorderedTridiagonal(index, work, *pieces, buffer[2, row], label)
 
         rho = pencil.rho_bound
         tic = time.perf_counter()
-        self._mass_solver = definite(*shift(0, 1.0), "mass matrix")
+        self._mass_solver = definite(0, 0, 1.0, "mass matrix")
         factor_seconds = [time.perf_counter() - tic]
         solvers = [self._mass_solver]
         # Each term is (kind, pole, weight, solver); the weight is the residue,
         # negated where the solver factorizes p M - A instead of A - p M.
         self._terms = []
+        row = 0
         for kind, pole, residue in pf.terms:
             tic = time.perf_counter()
             label = f"pole {pole:.6e}"
             weight = residue
             if kind == "pair":
                 solver = _sparse_lu(A.astype(complex) - pole * M, label)
-            elif pole <= 0:
-                solver = definite(*shift(1, -pole), label)
             elif 0 < rho < pole:
-                solver = definite(*shift(-1, pole), label)
-                weight = -residue
+                row += 1
+                solver, weight = definite(row, -1, pole, label), -residue
             else:
-                warnings.warn(
-                    f"positive pole {pole:.3e} not above rho_bound {rho:.3e}: "
-                    "shifted matrix may be indefinite, solving it by sparse LU",
-                    RuntimeWarning,
-                )
-                solver = _sparse_lu(A - pole * M, label)
+                row += 1
+                try:
+                    solver = definite(row, 1, -pole, label)
+                except FactorizationError as below:
+                    if pole <= 0:
+                        raise
+                    try:
+                        solver, weight = definite(row, -1, pole, label), -residue
+                    except FactorizationError:
+                        raise FactorizationError(
+                            f"{below}, nor is its negation: {label} lies on the spectrum"
+                        ) from below
             self._terms.append((kind, pole, weight, solver))
             factor_seconds.append(time.perf_counter() - tic)
             solvers.append(solver)

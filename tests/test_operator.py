@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 import fracra.operator as operator_module
 from fracra.aaa import PartialFraction, fit_for_pencil
@@ -18,6 +18,7 @@ from fracra.pencil import (
     assemble_interval,
     assemble_unit_square,
     dense_inverse_fractional_apply,
+    rho_upper_bound,
 )
 
 
@@ -124,15 +125,73 @@ def test_conjugate_pair_single_factorization():
     assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
-def test_positive_pole_warns_but_solves():
-    pencil = assemble_interface(32)
-    pf = PartialFraction(0.0, [1.0], [0.5], 1e-12)
-    with pytest.warns(RuntimeWarning, match="positive pole"):
+@pytest.mark.parametrize("pole,unbounded", [(0.5, False), (3e4, True)],
+                         ids=["below-spectrum", "above-spectrum-no-rho"])
+def test_positive_pole_off_the_spectrum_is_a_definite_shift(pole, unbounded, monkeypatch):
+    # A ring pole in (0, lambda_min) makes A - p M definite, so it takes the
+    # bordered tridiagonal LDL^T without a warning.  A pole above the spectrum
+    # of a pencil without rho_bound fails as A - p M and is factorized as
+    # p M - A with its residue negated.
+    monkeypatch.setattr(operator_module, "splu", _no_sparse_lu)
+    ring = assemble_interface(32)
+    pencil = OperatorPencil(ring.A, ring.M, spatial_dimension=1) if unbounded else ring
+    pf = PartialFraction(0.0, [1.0], [pole], 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         op = RationalOperator(pf, pencil)
+    assert op.shift_solvers == ["tridiagonal", "tridiagonal"]
+    assert op._terms[0][2] == (-1.0 if unbounded else 1.0)
     r = np.random.default_rng(5).standard_normal(pencil.n_c)
     out = op.apply(r)
     ref = dense_apply(pf, pencil, r)
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: assemble_interface(64), r"\(pttrf info \d+\)"),
+    (lambda: assemble_unit_square(31), r"\(121 of 900 pivots not positive\)"),
+], ids=["ring-64", "square-31"])
+def test_pole_on_the_spectrum_raises_naming_it(make, match):
+    # Neither A - p M nor p M - A is definite for a pole inside
+    # [lambda_min, lambda_max]; the error names the pole in the middle of the
+    # term list, and on the sparse-LU path the count of pivots of A - p M that
+    # are not positive, the eigenvalues below the pole.
+    pf = PartialFraction(0.0, [1.0, 1.0, 1.0], [-1.0, 2000.0, -1e4], 1e-12)
+    with pytest.raises(FactorizationError, match=(
+            r"pole 2\.000000e\+03 is not positive definite " + match
+            + r", nor is its negation: pole 2\.000000e\+03 lies on the spectrum")):
+        RationalOperator(pf, make())
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_definite_shifts_share_one_buffer(n):
+    # With a lumped mass matrix the mass shift and the strongest shift solve
+    # their border vectors on end blocks, the others (one of them p M - A,
+    # above rho_bound) on all of T.  D and E of every shift live in one
+    # buffer, each equal to pttrf of the shift's own freshly assembled
+    # diagonals; a full-length border vector shares it too.
+    tiny = np.finfo(float).tiny
+    ring = assemble_interface(n)
+    lumped = sp.diags(np.asarray(ring.M.sum(axis=1)).ravel())
+    pencil = OperatorPencil(ring.A, lumped, spatial_dimension=1)
+    poles = [-1.0, -1e3, 2.0 * rho_upper_bound(pencil), -1e20]
+    op = RationalOperator(PartialFraction(0.5, [1.0, 2.0, 3.0, 4.0], poles, 1e-12), pencil)
+    solvers = [op._mass_solver] + [solver for *_, solver in op._terms]
+    sizes = [[w.size for _lo, w in solver.w_blocks] for solver in solvers]
+    assert [n - 1] in sizes and any(len(blocks) == 2 for blocks in sizes)
+    buffer = solvers[0].d.base
+    assert buffer.shape == (3, len(solvers), n - 1)
+    assert np.shares_memory(buffer, solvers[-1].d)
+    shifts = [pencil.M] + [pencil.A - p * pencil.M if p < 0 else p * pencil.M - pencil.A
+                           for p in poles]
+    for solver, shifted in zip(solvers, shifts):
+        d, e, info = dpttrf(shifted.diagonal()[:-1], shifted.diagonal(-1)[:-1])
+        e[np.abs(e) < tiny] = 0.0
+        assert info == 0
+        assert np.array_equal(solver.d, d) and np.array_equal(solver.e, e)
+        assert np.shares_memory(buffer, solver.d) and np.shares_memory(buffer, solver.e)
+        for _lo, w in solver.w_blocks:
+            assert np.shares_memory(buffer, w) == (w.size == n - 1)
 
 
 def test_singular_shift_reports_pole():
@@ -227,11 +286,12 @@ def test_apply_count_telemetry():
     assert all(nnz >= pencil.n_c for nnz in telemetry["factor_nnz"])
     assert telemetry["shift_solvers"] == ["tridiagonal", "tridiagonal"]
 
-    # a wide pencil's mass matrix, a positive pole below rho_bound and a
-    # complex pair (ascending |pole| order) are all sparse LU
+    # a wide pencil's mass matrix, a positive pole below its spectrum and a
+    # complex pair (ascending |pole| order) are all sparse LU, without a warning
     c, p = 0.5 + 0.25j, -2.0 + 1.0j
     pf = PartialFraction(0.0, [1.0, c, np.conj(c)], [0.5, p, np.conj(p)], 1e-12)
-    with pytest.warns(RuntimeWarning, match="positive pole"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         op = RationalOperator(pf, assemble_unit_square(6))
     assert op.telemetry["shift_solvers"] == ["lu", "lu", "lu"]
 
@@ -304,8 +364,8 @@ def test_definite_apply_matches_dense_spectral_apply(make, solver, monkeypatch):
 
 def test_pole_above_rho_is_a_negative_definite_shift(monkeypatch):
     # A - p M is negative definite for p > rho_bound: it is factorized as
-    # p M - A by the ring's bordered tridiagonal LDL^T, without the
-    # positive-pole warning.
+    # p M - A by the ring's bordered tridiagonal LDL^T at once, without a
+    # warning.
     monkeypatch.setattr(operator_module, "splu", _no_sparse_lu)
     pencil = assemble_interface(256)
     rho = pencil.rho_bound
