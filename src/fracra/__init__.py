@@ -71,7 +71,6 @@ from .pencil import (
     dense_inverse_fractional_apply,
     load_pencil,
     read_matrix,
-    rho_upper_bound,
     save_pencil,
     write_matrix,
 )

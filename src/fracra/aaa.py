@@ -82,15 +82,15 @@ class BarycentricForm:
     """Rational interpolant sum(w*f/(x-z)) / sum(w/(x-z)).
 
     ``achieved_error`` is the largest absolute deviation on the non-support
-    samples of the returned iterate.  ``error_history`` holds the best such
-    deviation achieved up to each iteration and is therefore non-increasing.
+    samples of the returned iterate, and ``converged`` says whether it is
+    within ``tolerance``.  ``error_history`` holds the best such deviation
+    achieved up to each iteration and is therefore non-increasing.
     """
 
     support_points: np.ndarray
     support_values: np.ndarray
     weights: np.ndarray
     achieved_error: float
-    converged: bool
     tolerance: float
     error_history: tuple = ()
     grid: np.ndarray = field(default=None, repr=False)
@@ -115,6 +115,10 @@ class BarycentricForm:
     @property
     def degree(self):
         return self.support_points.size - 1
+
+    @property
+    def converged(self):
+        return bool(self.achieved_error <= self.tolerance)
 
     def __call__(self, x):
         return bary_eval(self, x)
@@ -195,13 +199,11 @@ def aaa_fit(x, y, tolerance, max_degree=MAX_DEGREE):
             best, history = best2, history2
 
     zj, fj, wj, err_best = best
-    converged = err_best <= tolerance
     return BarycentricForm(
         zj,
         fj,
         wj,
         err_best,
-        converged,
         tolerance,
         error_history=tuple(history),
         grid=x,
@@ -326,10 +328,10 @@ class PartialFraction:
     deviation it achieved on the fit grid; both refer to the normalized
     unit-interval fit and are left untouched by rescaling.
     ``validation_error`` is the deviation of this converted form against the
-    samples it was derived from (None when unknown).  ``converged`` is the
-    fit's verdict against its tolerance (:attr:`BarycentricForm.converged`;
-    None when unknown); like ``fit_error`` it survives rescaling.
-    ``pole_audit`` is derived from the poles.
+    samples it was derived from (None when unknown).  ``converged`` is
+    derived, the fit's verdict ``fit_error <= tolerance`` (None when
+    ``fit_error`` is unknown), and so survives rescaling; ``pole_audit`` is
+    derived from the poles.
     """
 
     c0: float
@@ -339,7 +341,6 @@ class PartialFraction:
     fit_error: float = None
     validation_error: float = None
     c1: float = 0.0
-    converged: bool = None
     pole_audit: PoleAudit = field(init=False)
 
     def __post_init__(self):
@@ -367,6 +368,10 @@ class PartialFraction:
     @property
     def degree(self):
         return self.poles.size
+
+    @property
+    def converged(self):
+        return None if self.fit_error is None else bool(self.fit_error <= self.tolerance)
 
     @functools.cached_property
     def terms(self):
@@ -507,8 +512,7 @@ def _checked_form(units, c0, c1, form):
     """Partial fraction from units, validated against the form's samples."""
     poles, residues = _units_to_arrays(units)
     pf = PartialFraction(c0, residues, poles, form.tolerance,
-                         fit_error=form.achieved_error, c1=c1,
-                         converged=form.converged)
+                         fit_error=form.achieved_error, c1=c1)
     deviation = np.max(np.abs(eval_pf(pf, form.grid) - form.grid_values))
     pf.validation_error = float(deviation)
     return pf
@@ -738,7 +742,7 @@ def partial_fraction_to_dict(pf):
         "validation_error": (
             None if pf.validation_error is None else float(pf.validation_error)
         ),
-        "converged": None if pf.converged is None else bool(pf.converged),
+        "converged": pf.converged,
     }
 
 
@@ -746,8 +750,8 @@ def partial_fraction_from_dict(data):
     """Inverse of :func:`partial_fraction_to_dict`.
 
     A dictionary without ``"c1"`` (schema 1, written before the linear term
-    existed) reads as c1 = 0, and one without ``"converged"`` (written before
-    the flag was stored) as converged = None.
+    existed) reads as c1 = 0.  ``"converged"`` is ignored: the form derives it
+    from ``fit_error`` and ``tolerance``.
     """
     poles = np.array([complex(re, im) for re, im in data["poles"]], dtype=complex)
     residues = np.array([complex(re, im) for re, im in data["residues"]], dtype=complex)
@@ -759,5 +763,4 @@ def partial_fraction_from_dict(data):
         fit_error=data.get("fit_error"),
         validation_error=data.get("validation_error"),
         c1=data.get("c1", 0.0),
-        converged=data.get("converged"),
     )

@@ -15,7 +15,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -126,12 +126,16 @@ _CSV_COLUMNS = {
 
 @dataclass
 class InterfaceProblem:
-    """Closed-curve interface system S lam = g for viscosity mu, permeability K."""
+    """Closed-curve interface system S lam = g for viscosity mu, permeability K;
+    ``system`` is the exact Fourier realization of S on the pencil."""
 
     mu: float
     K: float
     pencil: object
-    system: object
+    system: object = field(init=False)
+
+    def __post_init__(self):
+        self.system = FourierInterfaceSystem(self.pencil, self.mu, self.K)
 
 
 def _circulant_symbol(mat):
@@ -184,8 +188,7 @@ def build_interface_system_dense(pencil, mu, K):
 
 def build_interface_problem(mu, K, n_cells):
     """Assemble the shifted closed-curve pencil and its exact Fourier system."""
-    pencil = assemble_interface(n_cells)
-    return InterfaceProblem(mu, K, pencil, FourierInterfaceSystem(pencil, mu, K))
+    return InterfaceProblem(mu, K, assemble_interface(n_cells))
 
 
 def interface_rhs(pencil, seed=0):

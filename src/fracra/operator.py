@@ -10,16 +10,12 @@ the linear term reuses the mass solve of the constant term and adds one
 matrix product and one more mass solve.
 
 Every real pole is a definite shift, factorized from stored pieces of A and
-M, and the factorization is its definiteness check:
-
-* the mass matrix and every real nonpositive pole give the SPD matrix
-  A - p M;
-* a real pole above the pencil's ``rho_bound`` gives a negative definite
-  A - p M, so p M - A is factorized and the solve negated;
-* any other positive pole is factorized as A - p M when that is definite
-  (the pole lies below the spectrum), else as p M - A with the solve
-  negated (above it); when neither is, the pole lies on the spectrum and
-  FactorizationError names it.
+M, and the factorization is its definiteness check.  It is factorized as
+A - p M first, which is SPD for a nonpositive pole and for a positive one
+below the spectrum; a positive pole for which that fails is factorized as
+p M - A with the solve negated, which is SPD above the spectrum; and when
+neither is definite the pole lies on the spectrum and FactorizationError
+names it.  The rule needs no bound on the spectrum.
 
 Which pieces are stored depends on the pattern of A and M.  A 1D pencil of
 at least three unknowns, numbered along its curve, is tridiagonal once its
@@ -282,7 +278,6 @@ class RationalOperator:
                 return _definite_lu(*pieces, label)
             return _BorderedTridiagonal(index, work, *pieces, buffer[2, row], label)
 
-        rho = pencil.rho_bound
         tic = time.perf_counter()
         self._mass_solver = definite(0, 0, 1.0, "mass matrix")
         factor_seconds = [time.perf_counter() - tic]
@@ -297,9 +292,6 @@ class RationalOperator:
             weight = residue
             if kind == "pair":
                 solver = _sparse_lu(A.astype(complex) - pole * M, label)
-            elif 0 < rho < pole:
-                row += 1
-                solver, weight = definite(row, -1, pole, label), -residue
             else:
                 row += 1
                 try:
@@ -324,10 +316,6 @@ class RationalOperator:
     @property
     def n(self):
         return self.pencil.n_c
-
-    @property
-    def n_poles(self):
-        return self.pf.degree
 
     @property
     def solves_per_apply(self):

@@ -26,7 +26,6 @@ __all__ = [
     "assemble_interval",
     "assemble_interface",
     "assemble_unit_square",
-    "rho_upper_bound",
     "dense_eigendecomposition",
     "dense_fractional_apply",
     "dense_inverse_fractional_apply",
@@ -47,18 +46,21 @@ class DenseCapExceededError(RuntimeError):
 class OperatorPencil:
     """Pair of sparse symmetric matrices A (stiffness-like) and M (mass).
 
-    ``rho_bound`` is an upper bound on the largest generalized eigenvalue of
-    (A, M); assemblers fill it via :func:`rho_upper_bound`.  The dense
-    eigendecomposition and power forms are cached on first use; otherwise the
-    pencil is immutable, so it may be shared across threads once those are cached.
+    ``rho_bound`` is derived from A, M and the dimension d:
+    d(d+1) * max(1/diag(M)) * max row sum of |A|, which bounds the largest
+    generalized eigenvalue of (A, M) for P1 mass matrices and sets the fit
+    interval of the rational approximants; a mass matrix with a nonpositive
+    diagonal entry is rejected.  The dense eigendecomposition and power forms
+    are cached on first use; otherwise the pencil is immutable, so it may be
+    shared across threads once those are cached.
     """
 
     A: sp.csr_matrix
     M: sp.csr_matrix
     spatial_dimension: int
-    rho_bound: float = 0.0
-    _eig: tuple = field(default=None, repr=False)
-    _forms: dict = field(default_factory=dict, repr=False)
+    rho_bound: float = field(init=False)
+    _eig: tuple = field(default=None, init=False, repr=False)
+    _forms: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.A, self.M = (_canonical(sp.csr_matrix(mat)) for mat in (self.A, self.M))
@@ -70,6 +72,13 @@ class OperatorPencil:
             scale = max(float(np.max(np.abs(mat.data), initial=0.0)), np.finfo(float).tiny)
             if _asymmetry(mat) > 1e-12 * scale:
                 raise ValueError(f"{name} must be symmetric")
+        diag = self.M.diagonal()
+        if np.any(diag <= 0):
+            raise ValueError("mass matrix has a nonpositive diagonal entry")
+        A, rows = self.A, np.flatnonzero(np.diff(self.A.indptr))  # as abs(A).sum(axis=1)
+        a_inf = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[rows]), initial=0.0))
+        d = self.spatial_dimension
+        self.rho_bound = d * (d + 1) * float(np.max(1.0 / diag)) * a_inf
 
     @property
     def n_c(self):
@@ -95,23 +104,6 @@ def _asymmetry(mat):
     return asym.max() if asym.nnz else 0.0
 
 
-def rho_upper_bound(pencil):
-    """d(d+1) * max(1/diag(M)) * max row sum of |A|, stored on the pencil.
-
-    This bounds the largest generalized eigenvalue of (A, M) for P1 mass
-    matrices and sets the fit interval of the rational approximants.
-    """
-    diag = pencil.M.diagonal()
-    if np.any(diag <= 0):
-        raise ValueError("mass matrix has a nonpositive diagonal entry")
-    A, rows = pencil.A, np.flatnonzero(np.diff(pencil.A.indptr))  # as abs(A).sum(axis=1)
-    a_inf = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[rows]), initial=0.0))
-    d = pencil.spatial_dimension
-    bound = d * (d + 1) * float(np.max(1.0 / diag)) * a_inf
-    pencil.rho_bound = bound
-    return bound
-
-
 def assemble_interval(n_cells, periodic=False):
     """P1 stiffness and consistent mass on a uniform mesh of [0, 1].
 
@@ -134,9 +126,7 @@ def assemble_interval(n_cells, periodic=False):
             [np.full(n - 1, h / 6.0), np.full(n, 4.0 * h / 6.0), np.full(n - 1, h / 6.0)],
             offsets=(-1, 0, 1), format="csr",
         )
-    pencil = OperatorPencil(A, M, spatial_dimension=1)
-    rho_upper_bound(pencil)
-    return pencil
+    return OperatorPencil(A, M, spatial_dimension=1)
 
 
 def assemble_interface(n_cells):
@@ -149,9 +139,7 @@ def assemble_interface(n_cells):
     if n_cells < 3:
         raise ValueError("n_cells must be at least 3")
     A, M = _ring(n_cells, shifted=True)
-    pencil = OperatorPencil(A, M, spatial_dimension=1)
-    rho_upper_bound(pencil)
-    return pencil
+    return OperatorPencil(A, M, spatial_dimension=1)
 
 
 def _ring(n, shifted):
@@ -222,20 +210,18 @@ def assemble_unit_square(n_cells_per_side):
     keep = np.flatnonzero(interior)
     A = A_full[keep][:, keep]
     M = M_full[keep][:, keep]
-    pencil = OperatorPencil(A, M, spatial_dimension=2)
-    rho_upper_bound(pencil)
-    return pencil
+    return OperatorPencil(A, M, spatial_dimension=2)
 
 
-def dense_eigendecomposition(pencil, dense_cap=DENSE_CAP_DEFAULT):
+def dense_eigendecomposition(pencil):
     """Full generalized eigendecomposition A U = M U diag(lam), U^T M U = I.
 
-    Cached on the pencil.  Raises DenseCapExceededError beyond ``dense_cap``
-    unknowns.
+    Cached on the pencil.  Raises DenseCapExceededError beyond
+    ``DENSE_CAP_DEFAULT`` unknowns.
     """
-    if pencil.n_c > dense_cap:
+    if pencil.n_c > DENSE_CAP_DEFAULT:
         raise DenseCapExceededError(
-            f"pencil has {pencil.n_c} unknowns, dense cap is {dense_cap}"
+            f"pencil has {pencil.n_c} unknowns, dense cap is {DENSE_CAP_DEFAULT}"
         )
     if pencil._eig is None:
         lam, u = scipy.linalg.eigh(pencil.A.toarray(), pencil.M.toarray())
@@ -311,10 +297,8 @@ def save_pencil(pencil, prefix):
 def load_pencil(prefix):
     prefix = str(prefix)
     meta = json.loads(Path(prefix + ".json").read_text())
-    pencil = OperatorPencil(
+    return OperatorPencil(
         read_matrix(prefix + ".A.mtx"),
         read_matrix(prefix + ".M.mtx"),
         spatial_dimension=int(meta["spatial_dimension"]),
     )
-    rho_upper_bound(pencil)
-    return pencil

@@ -125,12 +125,29 @@ def test_non_convergence_reported():
     assert PartialFraction(0.0, [1.0], [-1.0], 1e-12).converged is None
 
 
+
+@pytest.mark.parametrize("fit_error,want", [(1e-13, True), (1e-12, True), (2e-12, False),
+                                            (None, None)])
+def test_converged_follows_fit_error_and_tolerance(fit_error, want):
+    # The verdict is derived, not stored: it is fit_error <= tolerance on the
+    # normalized fit, which both rescalings and the JSON form keep, and a
+    # "converged" key in a file is ignored.
+    pf = PartialFraction(0.5, [2.0], [-4.0], 1e-12, fit_error=fit_error)
+    assert pf.converged is want
+    assert denormalize(pf, 3.0).converged is want
+    assert scale_to_interval(pf, 8.0).converged is want
+    data = json.loads(json.dumps(partial_fraction_to_dict(pf)))
+    assert data["converged"] is want
+    data["converged"] = not want
+    assert partial_fraction_from_dict(data).converged is want
+    looser = partial_fraction_from_dict({**data, "tolerance": 1e-6})
+    assert looser.converged is (None if fit_error is None else True)
+
 def test_conversion_needs_the_fit_grid():
     x = np.geomspace(1e-3, 1, 200)
     form = aaa_fit(x, 0.5 / x, 1e-12)
     gridless = BarycentricForm(form.support_points, form.support_values,
-                               form.weights, form.achieved_error,
-                               form.converged, form.tolerance)
+                               form.weights, form.achieved_error, form.tolerance)
     with pytest.raises(ValueError, match="fit grid"):
         to_partial_fraction(gridless)
 
@@ -171,8 +188,7 @@ def test_weights_match_whole_loewner_svd(alpha, beta, s, t, tol):
     assert form.converged
     assert np.all(np.diff(form.support_points) > 0)
     ref = BarycentricForm(form.support_points, form.support_values,
-                          whole_loewner_weights(form), form.achieved_error,
-                          True, tol)
+                          whole_loewner_weights(form), form.achieved_error, tol)
     want = bary_eval(ref, x)
     assert np.max(np.abs(bary_eval(form, x) - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -372,7 +388,7 @@ def test_denormalized_fit_approximates_original():
 def test_json_round_trip():
     c, p = 1.0 + 2.0j, -1.0 + 3.0j
     pf = PartialFraction(0.5, [c, np.conj(c), 2.0], [p, np.conj(p), -4.0], 1e-10,
-                         c1=0.125, converged=True)
+                         fit_error=1e-11, c1=0.125)
     data = partial_fraction_to_dict(pf)
     assert data["schema"].startswith("fracra.partial_fraction/")
     text = json.dumps(data)
@@ -390,12 +406,12 @@ def test_json_round_trip():
     assert back.converged is None
 
     # A file written before the linear term existed has neither "c1" nor
-    # "converged".
+    # "converged"; the verdict is derived from its fit_error.
     old = json.loads(text)
     del old["c1"], old["converged"]
     legacy = partial_fraction_from_dict(old)
     assert legacy.c1 == 0.0
-    assert legacy.converged is None
+    assert legacy.converged is True
     assert legacy.c0 == pf.c0
     assert np.array_equal(legacy.poles, pf.poles)
 

@@ -18,7 +18,6 @@ from fracra.pencil import (
     assemble_interval,
     assemble_unit_square,
     dense_inverse_fractional_apply,
-    rho_upper_bound,
 )
 
 
@@ -125,22 +124,22 @@ def test_conjugate_pair_single_factorization():
     assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("pole,unbounded", [(0.5, False), (3e4, True)],
+@pytest.mark.parametrize("pole,weight", [(0.5, 1.0), (3e4, -1.0)],
                          ids=["below-spectrum", "above-spectrum-no-rho"])
-def test_positive_pole_off_the_spectrum_is_a_definite_shift(pole, unbounded, monkeypatch):
+def test_positive_pole_off_the_spectrum_is_a_definite_shift(pole, weight, monkeypatch):
     # A ring pole in (0, lambda_min) makes A - p M definite, so it takes the
     # bordered tridiagonal LDL^T without a warning.  A pole above the spectrum
-    # of a pencil without rho_bound fails as A - p M and is factorized as
-    # p M - A with its residue negated.
+    # (3e4 > rho_bound = 12289) fails as A - p M and is factorized as p M - A
+    # with its residue negated; the rule reads no bound on the spectrum.
     monkeypatch.setattr(operator_module, "splu", _no_sparse_lu)
-    ring = assemble_interface(32)
-    pencil = OperatorPencil(ring.A, ring.M, spatial_dimension=1) if unbounded else ring
+    pencil = assemble_interface(32)
+    assert pencil.rho_bound == 12289.0
     pf = PartialFraction(0.0, [1.0], [pole], 1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         op = RationalOperator(pf, pencil)
     assert op.shift_solvers == ["tridiagonal", "tridiagonal"]
-    assert op._terms[0][2] == (-1.0 if unbounded else 1.0)
+    assert op._terms[0][2] == weight
     r = np.random.default_rng(5).standard_normal(pencil.n_c)
     out = op.apply(r)
     ref = dense_apply(pf, pencil, r)
@@ -174,7 +173,7 @@ def test_definite_shifts_share_one_buffer(n):
     ring = assemble_interface(n)
     lumped = sp.diags(np.asarray(ring.M.sum(axis=1)).ravel())
     pencil = OperatorPencil(ring.A, lumped, spatial_dimension=1)
-    poles = [-1.0, -1e3, 2.0 * rho_upper_bound(pencil), -1e20]
+    poles = [-1.0, -1e3, 2.0 * pencil.rho_bound, -1e20]
     op = RationalOperator(PartialFraction(0.5, [1.0, 2.0, 3.0, 4.0], poles, 1e-12), pencil)
     solvers = [op._mass_solver] + [solver for *_, solver in op._terms]
     sizes = [[w.size for _lo, w in solver.w_blocks] for solver in solvers]

@@ -14,7 +14,6 @@ from fracra.pencil import (
     dense_inverse_fractional_apply,
     load_pencil,
     read_matrix,
-    rho_upper_bound,
     save_pencil,
     write_matrix,
 )
@@ -102,9 +101,21 @@ def test_rho_bound_mesh_scaling():
 def test_rho_bound_rejects_zero_diagonal():
     A = sp.identity(4, format="csr")
     M = sp.diags([1.0, 1.0, 0.0, 1.0]).tocsr()
-    p = OperatorPencil(A, M, spatial_dimension=1)
-    with pytest.raises(ValueError):
-        rho_upper_bound(p)
+    with pytest.raises(ValueError, match="nonpositive diagonal"):
+        OperatorPencil(A, M, spatial_dimension=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assemble_interface(64),
+    lambda: assemble_interval(40, periodic=False),
+    lambda: assemble_unit_square(7),
+], ids=["ring", "interval", "square"])
+def test_rho_bound_is_derived_from_the_matrices(make):
+    # The bound is computed by the pencil itself, so a pencil rebuilt from an
+    # assembler's own A and M has it bitwise.
+    p = make()
+    q = OperatorPencil(p.A, p.M, p.spatial_dimension)
+    assert q.rho_bound == p.rho_bound > 0
 
 
 def test_dense_apply_identity_and_one():
@@ -169,7 +180,7 @@ def test_shifted_interface_positive():
 
 def _ring_by_coo(n):
     """The closed-curve P1 matrices through a COO round trip, and the bound
-    rho_upper_bound took from them by sparse row sums."""
+    the pencil takes from them by sparse row sums."""
     h = 1.0 / n
     i = np.arange(n)
     rows = np.concatenate([i, i, i])
@@ -206,9 +217,10 @@ def test_interface_matches_periodic_stiffness_plus_mass(n):
 
 
 def test_dense_cap():
-    p = assemble_interval(50, periodic=False)
-    with pytest.raises(DenseCapExceededError):
-        dense_eigendecomposition(p, dense_cap=10)
+    p = assemble_interface(2001)
+    with pytest.raises(DenseCapExceededError, match="2001 unknowns, dense cap is 2000"):
+        dense_eigendecomposition(p)
+    assert p._eig is None
 
 
 def test_matrix_market_round_trip(tmp_path):
