@@ -4,11 +4,13 @@ The fitter picks support points where the current deviation is largest and
 solves for barycentric weights with the smallest singular vector of the
 (column-equilibrated) Loewner matrix restricted to the remaining samples.
 Each step rebuilds both matrices in buffers allocated once per fit, and the
-weights come from the SVD of the m x m R factor of the Loewner matrix.
-Fitted interpolants are converted to the partial fraction form
-``c0 + c1*x + sum(c_i / (x - p_i))`` whose poles drive the shifted-solve
-operators in :mod:`fracra.operator`; the linear term carries a pole of the
-interpolant at infinity.
+weights come from the SVD of the m x m R factor of the Loewner matrix, which
+LAPACK ``dgeqrf`` computes in place.  Fitted interpolants are converted to
+the partial fraction form ``c0 + c1*x + sum(c_i / (x - p_i))`` whose poles
+drive the shifted-solve operators in :mod:`fracra.operator`; the linear term
+carries a pole of the interpolant at infinity.  The coefficients are the
+least-squares fit of the interpolant on its grid in the Cauchy basis of the
+poles, solved by Householder QR.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr
 
 from .functions import (
     FractionalSumFunction,
@@ -135,7 +138,7 @@ def bary_eval(form, x):
     diff = xv[:, None] - zj[None, :]
     hit_row, hit_col = np.nonzero(diff == 0.0)
     diff[hit_row, hit_col] = 1.0
-    cauchy = 1.0 / diff
+    cauchy = np.divide(1.0, diff, out=diff)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (cauchy @ (wj * fj)) / (cauchy @ wj)
     out[hit_row] = fj[hit_col]
@@ -157,9 +160,10 @@ def aaa_fit(x, y, tolerance, max_degree=MAX_DEGREE):
     Each step rebuilds the Cauchy and Loewner matrices on the remaining
     samples, in row-major buffers allocated once per pass.  The weights are
     the last right singular vector of the m x m R factor of the
-    column-equilibrated Loewner matrix (``np.linalg.qr(..., mode="r")``),
-    which has the singular values and right singular vectors of the tall
-    matrix; its SVD needs no left singular vectors.  If the equilibrated
+    column-equilibrated Loewner matrix, which has the singular values and
+    right singular vectors of the tall matrix; its SVD needs no left singular
+    vectors.  R comes from LAPACK ``dgeqrf`` run in place on a column-major
+    copy, with its workspace sized once per pass.  If the equilibrated
     pass misses the tolerance, a pass without equilibration runs and the
     better of the two is kept.  The support points are returned in
     ascending order.
@@ -219,39 +223,54 @@ def _greedy_pass(x, y, target, max_degree, equilibrate):
     cauchy_buf = np.empty(n * steps)
     loewner_buf = np.empty(n * steps)
     scaled_buf = np.empty(n * steps)
+    # dgeqrf leaves its Householder vectors below R's diagonal.
+    below_diagonal = np.tri(steps, k=-1, dtype=bool)
+    lwork = int(dgeqrf_lwork(n, steps)[0])
     in_support = np.zeros(n, dtype=bool)
-    approx = np.full(n, y.mean())
+    # |y - approx|, zero on the support points.
+    deviation = np.abs(y - y.mean())
     best = None
     history = []
     warned_degenerate = False
 
     for m in range(1, steps + 1):
         # Greedy pick: argmax returns the first (smallest abscissa) on ties.
-        j = int(np.argmax(np.abs(y - approx)))
+        j = int(np.argmax(deviation))
+        deviation[j] = 0.0
         in_support[j] = True
         idx_s = np.flatnonzero(in_support)
         idx_r = np.flatnonzero(~in_support)
         zj, fj = x[idx_s], y[idx_s]
+        rows = idx_r.size
+        yr = y[idx_r]
 
-        cauchy = cauchy_buf[:idx_r.size * m].reshape(idx_r.size, m)
-        loewner = loewner_buf[:idx_r.size * m].reshape(idx_r.size, m)
+        cauchy = cauchy_buf[:rows * m].reshape(rows, m)
+        loewner = loewner_buf[:rows * m].reshape(rows, m)
         np.subtract.outer(x[idx_r], zj, out=cauchy)
         np.divide(1.0, cauchy, out=cauchy)
-        np.subtract.outer(y[idx_r], fj, out=loewner)
+        np.subtract.outer(yr, fj, out=loewner)
         loewner *= cauchy
-        col_scale = np.ones(m)
+        # The scaled copy is column-major, as LAPACK works, and dgeqrf
+        # factorizes it in place; its R factor keeps the singular values and
+        # right singular vectors, and needs no U.
+        scaled = scaled_buf[:rows * m].reshape(m, rows)
         if equilibrate:
             col_scale = np.sqrt(np.einsum("ij,ij->j", loewner, loewner))
             col_scale[col_scale == 0.0] = 1.0
-        # The scaled copy is column-major, as LAPACK works; its R factor keeps
-        # the singular values and right singular vectors, and needs no U.
-        scaled = scaled_buf[:idx_r.size * m].reshape(m, idx_r.size)
-        np.divide(loewner.T, col_scale[:, None], out=scaled)
-        _, sing, vh = np.linalg.svd(np.linalg.qr(scaled.T, mode="r"))
+            np.divide(loewner.T, col_scale[:, None], out=scaled)
+        else:
+            np.copyto(scaled, loewner.T)
+        if rows:  # none remain once every sample is a support point
+            _, _, _, info = dgeqrf(scaled.T, lwork=lwork, overwrite_a=True)
+            if info:
+                raise np.linalg.LinAlgError(f"QR factorization failed (dgeqrf info {info})")
+        r = scaled.T[:min(rows, m)]
+        r[below_diagonal[:r.shape[0], :m]] = 0.0
+        _, sing, vh = np.linalg.svd(r)
         wj = vh[-1, :]
         if equilibrate:
             wj = wj / col_scale
-            wj /= np.linalg.norm(wj)
+            wj /= np.sqrt(wj.dot(wj))
         if not warned_degenerate and sing.size >= 2 and (
                 sing[-2] <= 1e-14 * max(sing[0], np.finfo(float).tiny)):
             warnings.warn(
@@ -261,11 +280,10 @@ def _greedy_pass(x, y, target, max_degree, equilibrate):
             )
             warned_degenerate = True
 
-        approx = y.copy()
         with np.errstate(divide="ignore", invalid="ignore"):
-            approx[idx_r] = (cauchy @ (wj * fj)) / (cauchy @ wj)
+            deviation[idx_r] = np.abs(yr - (cauchy @ (wj * fj)) / (cauchy @ wj))
 
-        err = np.max(np.abs(y - approx))
+        err = np.max(deviation)
         err = float(err) if np.isfinite(err) else float("inf")
         if best is None or err < best[3]:
             best = (zj, fj, wj, err)
@@ -474,24 +492,42 @@ def _refit_residues(units, x, values, c0, linear=False):
     sets, so the coefficients are recomputed as the least-squares projection
     of the interpolant values onto the Cauchy basis at the fixed poles, plus
     the column x when ``linear`` is set.  Conjugate pairs are folded to two
-    real columns, keeping the pairing exact.  Returns ``(units, c0, c1)``;
-    falls back to the incoming coefficients (and c1 = 0) if the solve
-    misbehaves.
+    real columns, keeping the pairing exact.  The column-scaled basis is
+    built column-major and reduced by Householder QR (``dgeqrf``, then
+    ``dormqr`` for Q^T values); the k x k triangle is solved by minimum-norm
+    ``lstsq`` with singular values below eps * max(n, k) times the largest
+    cut, the truncation an SVD solve of the tall basis applies.  Returns
+    ``(units, c0, c1)``; falls back to the incoming coefficients (and c1 = 0)
+    if the solve misbehaves.
     """
-    columns = [np.ones_like(x)]
+    k = 1 + int(linear) + sum(1 if kind == "real" else 2 for kind, _, _ in units)
+    basis = np.empty((x.size, k), order="F")
+    basis[:, 0] = 1.0
+    col = 1
     if linear:
-        columns.append(x)
+        basis[:, col] = x
+        col += 1
     for kind, p, _ in units:
         if kind == "real":
-            columns.append(1.0 / (x - p.real))
+            np.divide(1.0, x - p.real, out=basis[:, col])
+            col += 1
         else:
             q = 1.0 / (x - p)
-            columns.append(2.0 * q.real)
-            columns.append(-2.0 * q.imag)
-    basis = np.column_stack(columns)
+            np.multiply(2.0, q.real, out=basis[:, col])
+            np.multiply(-2.0, q.imag, out=basis[:, col + 1])
+            col += 2
     col_scale = np.linalg.norm(basis, axis=0)
     col_scale[col_scale == 0.0] = 1.0
-    coef, *_ = np.linalg.lstsq(basis / col_scale, values, rcond=None)
+    basis /= col_scale
+    # The optimal dgeqrf workspace, k times the block size, also covers dormqr
+    # on one column.
+    lwork = int(dgeqrf_lwork(x.size, k)[0])
+    qr, tau, _, qr_info = dgeqrf(basis, lwork=lwork, overwrite_a=True)
+    qtb, _, info = dormqr("L", "T", qr, tau, values[:, None], lwork)
+    if qr_info or info:
+        return units, c0, 0.0
+    coef, *_ = np.linalg.lstsq(np.triu(qr[:k]), qtb[:k, 0],
+                               rcond=np.finfo(float).eps * max(x.size, k))
     coef = coef / col_scale
     if not np.all(np.isfinite(coef)):
         return units, c0, 0.0
@@ -521,8 +557,8 @@ def _checked_form(units, c0, c1, form):
 def to_partial_fraction(form):
     """Convert a barycentric interpolant to pole/residue form.
 
-    The form must carry its fit grid, as every form of :func:`aaa_fit` does;
-    a form without one raises ValueError.  Poles are the finite generalized
+    The form must carry its fit grid in ascending order, as every form of
+    :func:`aaa_fit` does; a form without one raises ValueError.  Poles are the finite generalized
     eigenvalues of the arrowhead pencil built from the weights and support
     points, polished by Newton steps on the barycentric denominator.
     Residues start from the numerator over the denominator derivative at each
@@ -611,8 +647,11 @@ def to_partial_fraction(form):
     kept = units
     if units:
         kinds, p, c = (np.array(v) for v in zip(*units))
-        # |x - p| is smallest at the sample nearest Re p.
-        gap = np.min(np.abs(form.grid[None, :] - p.real[:, None]), axis=1)
+        # |x - p| is smallest at a grid neighbour of Re p.
+        grid = form.grid
+        hi = np.minimum(np.searchsorted(grid, p.real), grid.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        gap = np.minimum(np.abs(grid[lo] - p.real), np.abs(grid[hi] - p.real))
         dist = np.maximum(np.hypot(gap, p.imag), np.finfo(float).tiny)
         weight = np.where(kinds == "real", 1.0, 2.0) * np.abs(c)
         used = weight / dist > 0.05 * form.tolerance

@@ -11,8 +11,16 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import experiments
-from .aaa import DEFAULT_FLOOR_RATIO, MAX_DEGREE, fit_fractional_sum, partial_fraction_to_dict
+from .aaa import (
+    DEFAULT_FLOOR_RATIO,
+    MAX_DEGREE,
+    PoleExtractionError,
+    fit_fractional_sum,
+    partial_fraction_to_dict,
+)
 from .functions import FractionalSumFunction
 from .krylov import CurvatureBreakdownError, IndefinitePreconditionerError
 from .operator import FactorizationError
@@ -28,11 +36,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
+# LinAlgError subclasses ValueError, so it must be caught before invalid input.
 _NUMERICAL_ERRORS = (
     FactorizationError,
     CurvatureBreakdownError,
     IndefinitePreconditionerError,
     DenseCapExceededError,
+    PoleExtractionError,
+    np.linalg.LinAlgError,
 )
 
 

@@ -36,7 +36,8 @@ minimum-degree ordering of A + A^T applied to rows and columns alike and
 diagonal pivots only, so the pivots are those of an LDL^T and their signs
 give the inertia of the shift (Sylvester's law); the count of pivots that
 are not positive, the eigenvalues below a pole on the spectrum, is in its
-error.  Complex conjugate pairs are factorized by sparse LU with its default
+error.  A - p M of a positive pole with a diagonal entry that is not positive
+is indefinite without being factorized, and goes straight to p M - A.  Complex conjugate pairs are factorized by sparse LU with its default
 partial pivoting on either path.
 """
 
@@ -202,14 +203,23 @@ def _sparse_lu(matrix, label, **options):
         raise FactorizationError(f"factorization failed for {label}: {exc}") from exc
 
 
-def _definite_lu(matrix, label):
+def _definite_lu(matrix, label, check_diagonal=False):
     """Symmetric-mode sparse LU of a shift that must be positive definite.
 
     With diagonal pivots only and the same permutation on rows and columns,
     the diagonal of U holds the pivots of an LDL^T of the permuted shift.  A
     row interchange, a pivot that is not positive, or a smallest pivot at
-    most n*eps times the largest raises FactorizationError.
+    most n*eps times the largest raises FactorizationError.  With
+    ``check_diagonal``, a diagonal entry that is not positive, which already
+    proves the shift indefinite, raises before the factorization is run.
     """
+    if check_diagonal:
+        not_positive = int(np.count_nonzero(~(matrix.diagonal() > 0)))
+        if not_positive:
+            raise FactorizationError(
+                f"shifted matrix for {label} is not positive definite "
+                f"({not_positive} of {matrix.shape[0]} diagonal entries not positive)"
+            )
     lu = _sparse_lu(matrix, label, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -263,7 +273,10 @@ class RationalOperator:
         def definite(row, a_sign, m_coef, label):
             """The definite factorization of a_sign * A + m_coef * M for a_sign
             in {0, 1, -1}, assembled into its buffer row on the 1D path and
-            into a new matrix elsewhere."""
+            into a new matrix elsewhere.  On the sparse-LU path A - p M of a
+            positive pole, which has p M - A to fall back on, is first checked
+            for a diagonal entry that is not positive, so that a pole above
+            the spectrum costs no wasted factorization."""
             outs = ((None,) if bordered is None
                     else (buffer[0, row], buffer[1, row, :-1], None, None))
             pieces = []
@@ -275,7 +288,7 @@ class RationalOperator:
                     x -= a
                 pieces.append(x)
             if bordered is None:
-                return _definite_lu(*pieces, label)
+                return _definite_lu(*pieces, label, check_diagonal=a_sign > 0 and m_coef < 0)
             return _BorderedTridiagonal(index, work, *pieces, buffer[2, row], label)
 
         tic = time.perf_counter()

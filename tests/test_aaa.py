@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import fracra.aaa as aaa_module
 from fracra.aaa import (
     DEFAULT_FLOOR_RATIO,
+    STOP_SAFETY,
     BarycentricForm,
     PartialFraction,
     _polish_poles,
@@ -14,6 +16,7 @@ from fracra.aaa import (
     bary_eval,
     denormalize,
     eval_pf,
+    fit_for_pencil,
     fit_fractional_sum,
     partial_fraction_from_dict,
     partial_fraction_to_dict,
@@ -23,6 +26,7 @@ from fracra.aaa import (
 )
 from fracra.experiments import POLE_SWEEP_ALPHAS, POLE_SWEEP_BETAS
 from fracra.functions import FractionalSumFunction, normalize, sample_grid
+from fracra.pencil import assemble_interface
 
 EPS = np.finfo(float).eps
 
@@ -191,6 +195,103 @@ def test_weights_match_whole_loewner_svd(alpha, beta, s, t, tol):
                           whole_loewner_weights(form), form.achieved_error, tol)
     want = bary_eval(ref, x)
     assert np.max(np.abs(bary_eval(form, x) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def reference_greedy_pass(x, y, target, max_degree, equilibrate):
+    """One greedy pass written with NumPy's own QR and norm: fresh matrices of
+    the remaining samples at every step, R from ``np.linalg.qr(mode="r")``
+    (which zeroes the lower triangle by ``np.triu``), weights normalized by
+    ``np.linalg.norm``."""
+    n = x.size
+    in_support = np.zeros(n, dtype=bool)
+    approx = np.full(n, y.mean())
+    best, history = None, []
+    for m in range(1, min(n, max_degree + 1) + 1):
+        j = int(np.argmax(np.abs(y - approx)))
+        in_support[j] = True
+        idx_s, idx_r = np.flatnonzero(in_support), np.flatnonzero(~in_support)
+        zj, fj = x[idx_s], y[idx_s]
+        cauchy = 1.0 / np.subtract.outer(x[idx_r], zj)
+        loewner = np.subtract.outer(y[idx_r], fj) * cauchy
+        col_scale = np.ones(m)
+        if equilibrate:
+            col_scale = np.sqrt(np.einsum("ij,ij->j", loewner, loewner))
+            col_scale[col_scale == 0.0] = 1.0
+        scaled = np.asfortranarray(loewner / col_scale)
+        _, _, vh = np.linalg.svd(np.linalg.qr(scaled, mode="r"))
+        wj = vh[-1, :]
+        if equilibrate:
+            wj = wj / col_scale
+            wj /= np.linalg.norm(wj)
+        approx = y.copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            approx[idx_r] = (cauchy @ (wj * fj)) / (cauchy @ wj)
+        err = np.max(np.abs(y - approx))
+        err = float(err) if np.isfinite(err) else float("inf")
+        if best is None or err < best[3]:
+            best = (zj, fj, wj, err)
+        history.append(min(err, history[-1]) if history else err)
+        if err <= target:
+            break
+    return best, history
+
+
+def reference_fit(x, y, tolerance, max_degree):
+    """(support points, weights, error history) of aaa_fit's two passes,
+    each run by reference_greedy_pass; also says whether the plain pass ran."""
+    target = STOP_SAFETY * tolerance
+    best, history = reference_greedy_pass(x, y, target, max_degree, True)
+    plain_ran = best[3] > tolerance
+    if plain_ran:
+        best2, history2 = reference_greedy_pass(x, y, target, max_degree, False)
+        if best2[3] < best[3]:
+            best, history = best2, history2
+    return best[0], best[2], tuple(history), plain_ran
+
+
+def pencil_fit_samples(monkeypatch, n, mu, K):
+    """The samples, tolerance and degree fit_for_pencil hands to aaa_fit."""
+    calls = []
+
+    def recording_fit(*args):
+        calls.append(args)
+        return aaa_fit(*args)
+
+    monkeypatch.setattr(aaa_module, "aaa_fit", recording_fit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit_for_pencil(1.0 / mu, K / mu, -0.5, 0.5, assemble_interface(n), 1e-12)
+    monkeypatch.undo()
+    (args,) = calls
+    return args
+
+
+@pytest.mark.parametrize("case", ["atlas", "pencil-fallback", "rank-deficient"])
+def test_greedy_is_bitwise_the_numpy_qr_step(case, monkeypatch):
+    # The greedy step runs dgeqrf in place and skips work around it; support
+    # points, weights and the error history stay bitwise those of the same
+    # step written with np.linalg.qr, np.triu and np.linalg.norm.
+    if case == "atlas":
+        x, y = grid_of(FractionalSumFunction(1.0, 1e-2, -0.5, 0.5, 1.0))
+        tol, max_degree = 1e-12, 30
+    elif case == "pencil-fallback":
+        x, y, tol, max_degree = pencil_fit_samples(monkeypatch, 128, 1.0, 1e-2)
+    else:
+        # 1/(x + 1) is rational of degree 1, so later weight solves are
+        # rank-deficient; the tolerance cannot be met and both passes run.
+        x = np.linspace(0.1, 1, 200)
+        y = 1.0 / (x + 1.0)
+        tol, max_degree = 1e-30, 6
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        form = aaa_fit(x, y, tol, max_degree)
+    zj, wj, history, plain_ran = reference_fit(x, y, tol, max_degree)
+    if case == "rank-deficient":
+        assert any("rank-deficient" in str(w.message) for w in caught)
+    assert plain_ran == (case != "atlas")
+    assert np.array_equal(form.support_points, zj)
+    assert np.array_equal(form.weights, wj)
+    assert form.error_history == history
 
 
 def scalar_newton_polish(poles, zj, wj, max_steps=10):

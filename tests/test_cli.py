@@ -1,9 +1,20 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+import fracra.cli as cli
+import fracra.experiments as experiments
+from fracra.aaa import PoleExtractionError
 from fracra.cli import main
+
+FIT_ARGS = ["fit", "--alpha", "1", "--beta", "1", "--s", "-0.5", "--t", "0.5",
+            "--tol", "1e-12"]
+SOLVE_ARGS = ["solve-interface", "--mu", "1", "--K", "1", "--cells", "64",
+              "--tol-ra", "1e-12", "--tol-krylov", "1e-10"]
+NUMERICAL_FAILURES = [PoleExtractionError("no finite value at infinity"),
+                      np.linalg.LinAlgError("SVD did not converge")]
 
 
 def test_fit_degenerate_case(tmp_path, capsys):
@@ -54,6 +65,21 @@ def test_fit_gates_on_the_written_form(capsys):
                  "--t", "-0.8", "--tol", "1e-12"])
     assert code == 3
     assert "did not reach tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failure", NUMERICAL_FAILURES, ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("args, module, name", [
+    (FIT_ARGS, cli, "fit_fractional_sum"),
+    (SOLVE_ARGS, experiments, "fit_for_pencil"),
+], ids=["fit", "solve-interface"])
+def test_numerical_failure_exits_3(monkeypatch, capsys, failure, args, module, name):
+    # LinAlgError is a ValueError, which would otherwise exit 2 as bad input.
+    def fail(*_args, **_kwargs):
+        raise failure
+
+    monkeypatch.setattr(module, name, fail)
+    assert main(args) == 3
+    assert str(failure) in capsys.readouterr().err
 
 
 def test_solve_interface(tmp_path, capsys):

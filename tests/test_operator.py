@@ -378,6 +378,31 @@ def test_pole_above_rho_is_a_negative_definite_shift(monkeypatch):
     assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+def test_pole_above_the_spectrum_skips_the_indefinite_lu(monkeypatch):
+    # On the sparse-LU path, A - p M of the unit square at p = 2 rho_bound has
+    # a negative diagonal, which proves it indefinite without factorizing it:
+    # only the mass matrix and p M - A are factorized.
+    calls = []
+    real_splu = operator_module.splu
+
+    def recording_splu(matrix, **options):
+        calls.append(options)
+        return real_splu(matrix, **options)
+
+    monkeypatch.setattr(operator_module, "splu", recording_splu)
+    pencil = assemble_unit_square(20)
+    pole = 2.0 * pencil.rho_bound
+    assert np.min((pencil.A - pole * pencil.M).diagonal()) < 0
+    pf = PartialFraction(0.1, [1.0], [pole], 1e-12)
+    op = RationalOperator(pf, pencil)
+    assert len(calls) == 2
+    assert [weight for *_, weight, _solver in op._terms] == [-1.0]
+    r = np.random.default_rng(12).standard_normal(pencil.n_c)
+    symbol = lambda lam: 0.1 + 1.0 / (lam - pole)
+    ref = dense_inverse_fractional_apply(pencil, symbol, r)
+    assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 def test_negative_definite_pencil_reports_pole():
     # -A of a Dirichlet interval or of the unit square is negative definite,
     # and A - 2000 M of the unit square and the swap [[0, 1], [1, 0]] are
