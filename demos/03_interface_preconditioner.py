@@ -10,7 +10,7 @@ is applied exactly by two real FFTs, so the mesh sweep reaches 131072 cells.
 
 from fracra import (
     RationalOperator,
-    build_interface_problem,
+    assemble_interface,
     fit_for_pencil,
     solve_interface,
     spd_audit,
@@ -18,28 +18,26 @@ from fracra import (
 
 print("mesh sweep at mu = K = 1, fit tolerance 1e-12")
 for cells in (64, 128, 256, 512, 131072):
-    problem = build_interface_problem(1.0, 1.0, cells)
-    _, report, pf, setup = solve_interface(problem, tol_ra=1e-12,
-                                           tol_krylov=1e-10)
+    _, report, pf, setup = solve_interface(assemble_interface(cells), 1.0, 1.0,
+                                           tol_ra=1e-12, tol_krylov=1e-10)
     print(f"  n={cells:6d}: minres iterations={report.iterations}, "
           f"poles={pf.degree}, fit setup {setup * 1e3:.0f} ms, "
           f"final residual {report.preconditioned_residual_history[-1]:.1e}")
 
 print()
 print("parameter sweep on a fixed mesh (n=256)")
+pencil = assemble_interface(256)
 for mu in (1e-6, 1e-2, 1e2):
     for K in (1e-6, 1.0):
-        problem = build_interface_problem(mu, K, 256)
-        _, report, pf, _ = solve_interface(problem, tol_ra=1e-12,
+        _, report, pf, _ = solve_interface(pencil, mu, K, tol_ra=1e-12,
                                            tol_krylov=1e-10)
         print(f"  mu={mu:6.0e} K={K:6.0e}: iterations={report.iterations}, "
               f"poles={pf.degree}")
 
 print()
 print("definiteness probe of one preconditioner")
-problem = build_interface_problem(1e-2, 1e-6, 256)
-pf = fit_for_pencil(1e2, 1e-4, -0.5, 0.5, problem.pencil, 1e-12)
-op = RationalOperator(pf, problem.pencil)
+pf = fit_for_pencil(1e2, 1e-4, -0.5, 0.5, pencil, 1e-12)
+op = RationalOperator(pf, pencil)
 audit = spd_audit(op, trials=5, seed=0)
 print(f"  min Rayleigh quotient {audit.min_rayleigh:.3e} "
       f"(positive definite: {audit.positive_definite}), "

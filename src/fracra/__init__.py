@@ -26,9 +26,7 @@ from .aaa import (
 )
 from .experiments import (
     FourierInterfaceSystem,
-    InterfaceProblem,
     SweepRecord,
-    build_interface_problem,
     build_interface_system_dense,
     complexity_study,
     interface_rhs,

@@ -77,9 +77,9 @@ def cmd_fit(args):
 
 
 def cmd_solve_interface(args):
-    problem = experiments.build_interface_problem(args.mu, args.K, args.cells)
     _, report, pf, setup = experiments.solve_interface(
-        problem, args.tol_ra, args.tol_krylov, args.method, args.seed)
+        assemble_interface(args.cells), args.mu, args.K, args.tol_ra,
+        args.tol_krylov, args.method, args.seed)
     print(f"iterations={report.iterations}")
     print(f"converged={report.converged}")
     print(f"poles N={pf.degree} setup_seconds={setup:.4f}")

@@ -3,8 +3,9 @@
 The interface problem solves S lam = g where S realizes the symbol
 mu^{-1} x^{-1/2} + K mu^{-1} x^{1/2} of the shifted closed-curve pencil, and
 the preconditioner is the shifted-solve realization of the reciprocal symbol.
-S is applied exactly by two real FFTs (:class:`FourierInterfaceSystem`) in the
-solves and the timing study, and densely in the robustness sweep.
+S is defined once, by :class:`FourierInterfaceSystem`, which applies it
+exactly by two real FFTs; the robustness sweep multiplies by the same S
+written out as a dense circulant matrix.
 """
 
 from __future__ import annotations
@@ -15,17 +16,19 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
+import scipy.linalg
 
 from .aaa import MAX_DEGREE, fit_for_pencil, fit_fractional_sum
 from .functions import FractionalSumFunction, normalize
 from .krylov import minres, pcg
 from .operator import RationalOperator, spd_audit
-from .pencil import _dense_power_form, assemble_interface, dense_eigendecomposition
+from .pencil import _check_dense_cap, assemble_interface
+# Unused here: bench/spans.py times the dense eigendecomposition through this name.
+from .pencil import dense_eigendecomposition
 
 __all__ = [
     "EXPONENT_GRID",
@@ -36,9 +39,7 @@ __all__ = [
     "ROBUSTNESS_MESHES",
     "COMPLEXITY_MESHES",
     "SweepRecord",
-    "InterfaceProblem",
     "FourierInterfaceSystem",
-    "build_interface_problem",
     "build_interface_system_dense",
     "interface_rhs",
     "solve_interface",
@@ -124,20 +125,6 @@ _CSV_COLUMNS = {
 }
 
 
-@dataclass
-class InterfaceProblem:
-    """Closed-curve interface system S lam = g for viscosity mu, permeability K;
-    ``system`` is the exact Fourier realization of S on the pencil."""
-
-    mu: float
-    K: float
-    pencil: object
-    system: object = field(init=False)
-
-    def __post_init__(self):
-        self.system = FourierInterfaceSystem(self.pencil, self.mu, self.K)
-
-
 def _circulant_symbol(mat):
     """Eigenvalues sum_j c_j cos(2 pi j k / n), k = 0..n/2, of a circulant matrix.
 
@@ -166,8 +153,8 @@ class FourierInterfaceSystem:
     """
 
     def __init__(self, pencil, mu, K):
-        if mu <= 0 or K <= 0:
-            raise ValueError("mu and K must be positive")
+        if not (0 < mu < math.inf and 0 < K < math.inf):
+            raise ValueError("mu and K must be positive and finite")
         a, m = _circulant_symbol(pencil.A), _circulant_symbol(pencil.M)
         if np.any(a <= 0) or np.any(m <= 0):
             raise ValueError("pencil is not definite")
@@ -179,16 +166,15 @@ class FourierInterfaceSystem:
 
 
 def build_interface_system_dense(pencil, mu, K):
-    """Dense realization M U F(lam) U^T M of the forward interface symbol,
-    (G_- + K G_+) / mu from the pencil's cached forms G_-+ = M U lam^-+1/2 U^T M."""
-    dense_eigendecomposition(pencil)  # computed and cached on first use
-    g_minus, g_plus = (_dense_power_form(pencil, s) for s in (-0.5, 0.5))
-    return (g_minus + K * g_plus) / mu
+    """:class:`FourierInterfaceSystem` written out as a dense circulant matrix.
 
-
-def build_interface_problem(mu, K, n_cells):
-    """Assemble the shifted closed-curve pencil and its exact Fourier system."""
-    return InterfaceProblem(mu, K, assemble_interface(n_cells))
+    Its first column is S e_0, averaged with its reverse so that S is exactly
+    symmetric.  Raises DenseCapExceededError beyond the dense cap.
+    """
+    _check_dense_cap(pencil)
+    col = np.fft.irfft(FourierInterfaceSystem(pencil, mu, K).eigenvalues, pencil.n_c)
+    col[1:] = 0.5 * (col[1:] + col[:0:-1])
+    return scipy.linalg.circulant(col)
 
 
 def interface_rhs(pencil, seed=0):
@@ -216,8 +202,9 @@ def _fit_preconditioner(pencil, mu, K, tol_ra):
     return pf, RationalOperator(pf, pencil), fit_seconds
 
 
-def solve_interface(problem, tol_ra, tol_krylov=1e-10, method="minres", seed=0):
-    """Fit the reciprocal symbol, precondition, and solve S lam = g.
+def solve_interface(pencil, mu, K, tol_ra, tol_krylov=1e-10, method="minres", seed=0):
+    """Fit the reciprocal symbol, precondition, and solve S lam = g on the
+    closed-curve pencil for viscosity mu and permeability K.
 
     The Krylov solve stops after at most 500 iterations.  Returns
     ``(solution, SolveReport, PartialFraction, setup_seconds)`` where
@@ -226,12 +213,11 @@ def solve_interface(problem, tol_ra, tol_krylov=1e-10, method="minres", seed=0):
     """
     if method not in ("minres", "pcg"):
         raise ValueError(f"unknown method {method!r}")
-    pencil = problem.pencil
-    pf, precond, setup_seconds = _fit_preconditioner(
-        pencil, problem.mu, problem.K, tol_ra)
+    system = FourierInterfaceSystem(pencil, mu, K)
+    pf, precond, setup_seconds = _fit_preconditioner(pencil, mu, K, tol_ra)
     g = interface_rhs(pencil, seed)
     solver = minres if method == "minres" else pcg
-    solution, report = solver(problem.system, precond, g, tol=tol_krylov, stop="abs")
+    solution, report = solver(system, precond, g, tol=tol_krylov, stop="abs")
     return solution, report, pf, setup_seconds
 
 

@@ -4,8 +4,8 @@ Meshes are uniform: an interval with Dirichlet ends, a closed curve (the
 periodic interval, assembled directly as sorted CSR), or a structured
 right-triangle split of the unit square.  Pencils store canonical CSR, which
 their symmetry check and the operators' structure reads rely on.  The dense
-eigendecomposition of A u = lambda M u, with its power forms, provides the
-ground-truth spectral calculus used to validate the shifted-solve operators.
+eigendecomposition of A u = lambda M u provides the ground-truth spectral
+calculus used to validate the shifted-solve operators.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class OperatorPencil:
     d(d+1) * max(1/diag(M)) * max row sum of |A|, which bounds the largest
     generalized eigenvalue of (A, M) for P1 mass matrices and sets the fit
     interval of the rational approximants; a mass matrix with a nonpositive
-    diagonal entry is rejected.  The dense eigendecomposition and power forms
-    are cached on first use; otherwise the pencil is immutable, so it may be
-    shared across threads once those are cached.
+    diagonal entry is rejected.  The dense eigendecomposition is cached on
+    first use; otherwise the pencil is immutable, so it may be shared across
+    threads once that is cached.
     """
 
     A: sp.csr_matrix
@@ -60,7 +60,6 @@ class OperatorPencil:
     spatial_dimension: int
     rho_bound: float = field(init=False)
     _eig: tuple = field(default=None, init=False, repr=False)
-    _forms: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.A, self.M = (_canonical(sp.csr_matrix(mat)) for mat in (self.A, self.M))
@@ -213,29 +212,25 @@ def assemble_unit_square(n_cells_per_side):
     return OperatorPencil(A, M, spatial_dimension=2)
 
 
+def _check_dense_cap(pencil):
+    """Raise DenseCapExceededError beyond ``DENSE_CAP_DEFAULT`` unknowns."""
+    if pencil.n_c > DENSE_CAP_DEFAULT:
+        raise DenseCapExceededError(
+            f"pencil has {pencil.n_c} unknowns, dense cap is {DENSE_CAP_DEFAULT}"
+        )
+
+
 def dense_eigendecomposition(pencil):
     """Full generalized eigendecomposition A U = M U diag(lam), U^T M U = I.
 
     Cached on the pencil.  Raises DenseCapExceededError beyond
     ``DENSE_CAP_DEFAULT`` unknowns.
     """
-    if pencil.n_c > DENSE_CAP_DEFAULT:
-        raise DenseCapExceededError(
-            f"pencil has {pencil.n_c} unknowns, dense cap is {DENSE_CAP_DEFAULT}"
-        )
+    _check_dense_cap(pencil)
     if pencil._eig is None:
         lam, u = scipy.linalg.eigh(pencil.A.toarray(), pencil.M.toarray())
         pencil._eig = (lam, u)
     return pencil._eig
-
-
-def _dense_power_form(pencil, s):
-    """Dense symmetric M U diag(lam**s) U^T M from the cached eigenpairs, cached per s."""
-    lam, u = pencil._eig
-    if s not in pencil._forms:
-        form = (pencil.M @ (u * lam**s)) @ (pencil.M @ u).T
-        pencil._forms[s] = 0.5 * (form + form.T)
-    return pencil._forms[s]
 
 
 def _values_on_spectrum(g, lam):

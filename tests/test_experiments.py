@@ -8,7 +8,6 @@ from fracra.experiments import (
     ROBUSTNESS_KS,
     ROBUSTNESS_MUS,
     FourierInterfaceSystem,
-    build_interface_problem,
     build_interface_system_dense,
     complexity_study,
     interface_rhs,
@@ -20,10 +19,11 @@ from fracra.experiments import (
     write_sweep_summary,
 )
 from fracra.pencil import (
+    DenseCapExceededError,
     OperatorPencil,
     assemble_interface,
     assemble_interval,
-    dense_eigendecomposition,
+    dense_fractional_apply,
 )
 
 
@@ -63,31 +63,47 @@ def test_dense_system_is_spd():
 
 
 @pytest.mark.parametrize("n", [64, 256])
-def test_dense_system_from_cached_forms_matches_spectral_formula(n):
-    # (G_- + K G_+) / mu from the two cached forms, against M U F(lam) U^T M
-    # formed per (mu, K) point, over the robustness grid.
+def test_dense_system_is_the_fourier_system(n):
+    # The dense S is the Fourier system written out, over the robustness grid:
+    # a product with it agrees with the FFT apply to roundoff.
     pencil = assemble_interface(n)
-    lam, u = dense_eigendecomposition(pencil)
-    mv = pencil.M @ u
+    x = np.random.default_rng(1).standard_normal(n)
     for mu in ROBUSTNESS_MUS:
         for K in ROBUSTNESS_KS:
-            system = build_interface_system_dense(pencil, mu, K)
-            values = (1.0 / mu) * lam**-0.5 + (K / mu) * lam**0.5
-            want = (mv * values) @ mv.T
-            want = 0.5 * (want + want.T)
-            assert np.array_equal(system, system.T)
-            assert np.linalg.norm(system - want) <= 1e-12 * np.linalg.norm(want)
-    assert sorted(pencil._forms) == [-0.5, 0.5]
+            S = build_interface_system_dense(pencil, mu, K)
+            assert np.array_equal(S, S.T)
+            sx = S @ x
+            fourier = FourierInterfaceSystem(pencil, mu, K).apply(x)
+            assert np.linalg.norm(sx - fourier) <= 1e-13 * np.linalg.norm(sx)
+
+
+def test_dense_system_cap_and_circulant_check():
+    with pytest.raises(DenseCapExceededError, match="2001 unknowns, dense cap is 2000"):
+        build_interface_system_dense(assemble_interface(2001), 1.0, 1.0)
+    with pytest.raises(ValueError, match="not circulant"):
+        build_interface_system_dense(assemble_interval(16), 1.0, 1.0)
 
 
 def test_fourier_system_matches_dense():
+    # Against the dense eigendecomposition oracle M U F(lam) U^T M x.
     for n_cells in (64, 1024):
         pencil = assemble_interface(n_cells)
         x = np.random.default_rng(0).standard_normal(n_cells)
         for mu, K in ((1e-2, 1e-6), (1.0, 1.0), (1e3, 1e-4)):
-            a = build_interface_system_dense(pencil, mu, K) @ x
+            a = dense_fractional_apply(
+                pencil, lambda lam: (lam**-0.5 + K * lam**0.5) / mu, x)
             b = FourierInterfaceSystem(pencil, mu, K).apply(x)
             assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("mu,K", [(float("nan"), 1.0), (1.0, float("nan")),
+                                  (float("inf"), 1.0), (1.0, float("inf"))])
+def test_interface_system_rejects_non_finite_parameters(mu, K):
+    pencil = assemble_interface(8)
+    with pytest.raises(ValueError, match="positive and finite"):
+        FourierInterfaceSystem(pencil, mu, K)
+    with pytest.raises(ValueError, match="positive and finite"):
+        build_interface_system_dense(pencil, mu, K)
 
 
 def test_fourier_system_maps_cosine_modes():
@@ -123,23 +139,31 @@ def test_fourier_system_rejects_non_circulant_pencil():
 
 
 def test_solve_interface_converges_quickly():
-    problem = build_interface_problem(1.0, 1.0, 128)
-    _, report, pf, setup = solve_interface(problem, tol_ra=1e-12, tol_krylov=1e-10)
+    pencil = assemble_interface(128)
+    _, report, pf, setup = solve_interface(pencil, 1.0, 1.0, tol_ra=1e-12,
+                                           tol_krylov=1e-10)
     assert report.converged
     assert report.iterations <= 40
     assert setup > 0
     assert pf.degree >= 1
     # determinism of the full path
-    _, report2, _, _ = solve_interface(problem, tol_ra=1e-12, tol_krylov=1e-10)
+    _, report2, _, _ = solve_interface(pencil, 1.0, 1.0, tol_ra=1e-12,
+                                       tol_krylov=1e-10)
     assert report2.iterations == report.iterations
 
 
-def test_solve_interface_validates():
-    problem = build_interface_problem(1.0, 1.0, 32)
+def test_solve_interface_validates(monkeypatch):
+    pencil = assemble_interface(32)
     with pytest.raises(ValueError):
-        solve_interface(problem, tol_ra=1e-10, method="bogus")
-    with pytest.raises(ValueError):
-        build_interface_problem(0.0, 1.0, 32)
+        solve_interface(pencil, 1.0, 1.0, tol_ra=1e-10, method="bogus")
+
+    # An invalid mu is rejected before any fit runs.
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr("fracra.experiments.fit_for_pencil", no_fit)
+    with pytest.raises(ValueError, match="positive"):
+        solve_interface(pencil, 0.0, 1.0, tol_ra=1e-10)
 
 
 def test_robustness_sweep_small_grid():
@@ -198,17 +222,17 @@ def test_csv_and_summary_round_trip(tmp_path):
 def test_iterations_insensitive_to_fit_tolerance():
     # For unit permeability the solver counts stay small for any fit
     # tolerance of 1e-1 or tighter.
-    problem = build_interface_problem(1.0, 1.0, 64)
+    pencil = assemble_interface(64)
     counts = []
     for tol_ra in (1e-1, 1e-4, 1e-12):
-        _, report, pf, _ = solve_interface(problem, tol_ra=tol_ra,
+        _, report, pf, _ = solve_interface(pencil, 1.0, 1.0, tol_ra=tol_ra,
                                            tol_krylov=1e-10)
         assert report.converged
         counts.append(report.iterations)
     assert max(counts) <= 10
     assert max(counts) - min(counts) <= 5
     # and the loose fit for K=1 still needs at least five poles
-    _, _, pf, _ = solve_interface(problem, tol_ra=1e-1)
+    _, _, pf, _ = solve_interface(pencil, 1.0, 1.0, tol_ra=1e-1)
     assert pf.degree >= 5
 
 
