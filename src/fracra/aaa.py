@@ -405,7 +405,8 @@ class PartialFraction:
 
 
 def _symmetrize_conjugates(poles, residues):
-    """Strip eigensolver noise off real poles and enforce exact pairing."""
+    """Strip eigensolver noise off real poles and average each complex pole
+    with its nearest conjugate; raises PoleExtractionError if one has none."""
     poles = np.asarray(poles, dtype=complex)
     residues = np.asarray(residues, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(poles))) if poles.size else 1.0)
@@ -420,19 +421,15 @@ def _symmetrize_conjugates(poles, residues):
         np.flatnonzero(cpoles.imag > 0), key=lambda k: (cpoles[k].real, cpoles[k].imag)
     )
     lower = list(np.flatnonzero(cpoles.imag < 0))
+    if len(upper) != len(lower):
+        raise PoleExtractionError(
+            f"unpaired complex pole: {len(upper)} above the real axis, {len(lower)} below")
     for i in upper:
-        if not lower:
-            warnings.warn("unpaired complex pole; treating it as real", RuntimeWarning)
-            units.append(("real", complex(cpoles[i].real), complex(cres[i].real)))
-            continue
         j = min(lower, key=lambda k: abs(np.conj(cpoles[i]) - cpoles[k]))
         lower.remove(j)
         p = 0.5 * (cpoles[i] + np.conj(cpoles[j]))
         c = 0.5 * (cres[i] + np.conj(cres[j]))
         units.append(("pair", p, c))
-    for j in lower:
-        warnings.warn("unpaired complex pole; treating it as real", RuntimeWarning)
-        units.append(("real", complex(cpoles[j].real), complex(cres[j].real)))
     return units
 
 
@@ -485,7 +482,7 @@ def _polish_poles(poles, zj, wj):
     return polished
 
 
-def _refit_residues(units, x, values, c0, linear=False):
+def _refit_residues(units, x, values, linear=False):
     """Re-solve the constant term and residues with the poles held fixed.
 
     The pole-limit formula loses a few digits for exponentially clustered pole
@@ -497,8 +494,8 @@ def _refit_residues(units, x, values, c0, linear=False):
     ``dormqr`` for Q^T values); the k x k triangle is solved by minimum-norm
     ``lstsq`` with singular values below eps * max(n, k) times the largest
     cut, the truncation an SVD solve of the tall basis applies.  Returns
-    ``(units, c0, c1)``; falls back to the incoming coefficients (and c1 = 0)
-    if the solve misbehaves.
+    ``(units, c0, c1)``.  Raises PoleExtractionError when ``dgeqrf`` or
+    ``dormqr`` reports a nonzero info or a coefficient is not finite.
     """
     k = 1 + int(linear) + sum(1 if kind == "real" else 2 for kind, _, _ in units)
     basis = np.empty((x.size, k), order="F")
@@ -525,12 +522,13 @@ def _refit_residues(units, x, values, c0, linear=False):
     qr, tau, _, qr_info = dgeqrf(basis, lwork=lwork, overwrite_a=True)
     qtb, _, info = dormqr("L", "T", qr, tau, values[:, None], lwork)
     if qr_info or info:
-        return units, c0, 0.0
+        raise PoleExtractionError(
+            f"residue least squares failed (dgeqrf info {qr_info}, dormqr info {info})")
     coef, *_ = np.linalg.lstsq(np.triu(qr[:k]), qtb[:k, 0],
                                rcond=np.finfo(float).eps * max(x.size, k))
     coef = coef / col_scale
     if not np.all(np.isfinite(coef)):
-        return units, c0, 0.0
+        raise PoleExtractionError("residue least squares gave a non-finite coefficient")
     c1 = float(coef[1]) if linear else 0.0
     out = []
     k = 2 if linear else 1
@@ -577,59 +575,52 @@ def to_partial_fraction(form):
     form's and the interpolant's, so a genuine large pole is not traded for a
     worse form.
 
-    Raises PoleExtractionError when the eigenvalue computation fails or the
-    form has no finite constant term, and warns about nearly coincident poles.
+    A one-node (constant) form has no finite eigenvalue and converts to c0.
+
+    Raises PoleExtractionError when the eigenvalue computation or the
+    least-squares re-solve fails, a complex pole has no conjugate partner, or
+    a coefficient is not finite, and warns about nearly coincident poles.
     """
     if form.grid is None:
         raise ValueError("conversion needs the fit grid the form was fitted on")
     zj, fj, wj = form.support_points, form.support_values, form.weights
     m = zj.size
-    at_infinity = False
-
-    if m == 1:
-        poles = np.empty(0, dtype=complex)
-        residues = np.empty(0, dtype=complex)
-    else:
-        arrow = np.zeros((m + 1, m + 1))
-        arrow[0, 1:] = wj
-        arrow[1:, 0] = 1.0
-        arrow[1:, 1:] = np.diag(zj)
-        mass = np.eye(m + 1)
-        mass[0, 0] = 0.0
-        try:
-            eigvals = scipy.linalg.eigvals(arrow, mass)
-        except Exception as exc:  # pragma: no cover - LAPACK failure path
-            raise PoleExtractionError(f"generalized eigenvalue solve failed: {exc}") from exc
-        finite_eigs = eigvals[np.isfinite(eigvals)]
-        # The denominator has degree m - 1; fewer finite roots means one
-        # went to infinity.
-        at_infinity = finite_eigs.size < m - 1
-        poles = _polish_poles(finite_eigs, zj, wj)
-        # A pole sitting exactly on a support node is a spurious zero/pole
-        # cancellation at that node (the interpolant is finite there).
-        on_node = np.isin(poles, zj.astype(complex))
-        if np.any(on_node):
-            warnings.warn("dropping pole located exactly on a support node",
-                          RuntimeWarning)
-            poles = poles[~on_node]
-        cauchy = 1.0 / (poles[:, None] - zj[None, :])
-        numer = cauchy @ (wj * fj)
-        dderiv = (-(cauchy**2)) @ wj
-        with np.errstate(divide="ignore", invalid="ignore"):
-            residues = numer / dderiv
-        finite = np.isfinite(residues)
-        if not np.all(finite):
-            warnings.warn("dropping pole with non-finite residue", RuntimeWarning)
-            poles, residues = poles[finite], residues[finite]
-        if poles.size >= 2:
-            sorted_p = np.sort_complex(poles)
-            gaps = np.abs(np.diff(sorted_p))
-            if np.any(gaps <= 1e-12 * max(1.0, float(np.max(np.abs(poles))))):
-                warnings.warn("nearly coincident pole pair detected", RuntimeWarning)
-
-    weight_sum = wj.sum()
+    arrow = np.zeros((m + 1, m + 1))
+    arrow[0, 1:] = wj
+    arrow[1:, 0] = 1.0
+    arrow[1:, 1:] = np.diag(zj)
+    mass = np.eye(m + 1)
+    mass[0, 0] = 0.0
+    try:
+        eigvals = scipy.linalg.eigvals(arrow, mass)
+    except Exception as exc:  # pragma: no cover - LAPACK failure path
+        raise PoleExtractionError(f"generalized eigenvalue solve failed: {exc}") from exc
+    finite_eigs = eigvals[np.isfinite(eigvals)]
+    # The denominator has degree m - 1; fewer finite roots means one
+    # went to infinity.
+    at_infinity = finite_eigs.size < m - 1
+    poles = _polish_poles(finite_eigs, zj, wj)
+    # A pole sitting exactly on a support node is a spurious zero/pole
+    # cancellation at that node (the interpolant is finite there).
+    on_node = np.isin(poles, zj.astype(complex))
+    if np.any(on_node):
+        warnings.warn("dropping pole located exactly on a support node",
+                      RuntimeWarning)
+        poles = poles[~on_node]
+    cauchy = 1.0 / (poles[:, None] - zj[None, :])
+    numer = cauchy @ (wj * fj)
+    dderiv = (-(cauchy**2)) @ wj
     with np.errstate(divide="ignore", invalid="ignore"):
-        c0 = float((wj * fj).sum() / weight_sum)
+        residues = numer / dderiv
+    finite = np.isfinite(residues)
+    if not np.all(finite):
+        warnings.warn("dropping pole with non-finite residue", RuntimeWarning)
+        poles, residues = poles[finite], residues[finite]
+    if poles.size >= 2:
+        sorted_p = np.sort_complex(poles)
+        gaps = np.abs(np.diff(sorted_p))
+        if np.any(gaps <= 1e-12 * max(1.0, float(np.max(np.abs(poles))))):
+            warnings.warn("nearly coincident pole pair detected", RuntimeWarning)
 
     units = _symmetrize_conjugates(poles, residues)
 
@@ -656,9 +647,11 @@ def to_partial_fraction(form):
         weight = np.where(kinds == "real", 1.0, 2.0) * np.abs(c)
         used = weight / dist > 0.05 * form.tolerance
         kept = [u for u, keep in zip(units, used) if keep]
-        pf = _checked_form(*_refit_residues(kept, form.grid, values, c0), form)
+        pf = _checked_form(*_refit_residues(kept, form.grid, values), form)
     else:
         # A constant interpolant keeps its exact barycentric value as c0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c0 = float((wj * fj).sum() / wj.sum())
         pf = _checked_form(kept, c0, 0.0, form)
 
     reach = FOLD_RATIO * np.max(np.abs(form.grid))
@@ -668,7 +661,7 @@ def to_partial_fraction(form):
             fold = max(far, key=lambda u: abs(u[1]))
             kept = [u for u in kept if u is not fold]
         folded = _checked_form(
-            *_refit_residues(kept, form.grid, values, c0, linear=True), form)
+            *_refit_residues(kept, form.grid, values, linear=True), form)
         bound = min(form.tolerance,
                     max(pf.validation_error, form.achieved_error))
         if folded.validation_error <= bound:

@@ -127,7 +127,10 @@ def cmd_sweep(args):
     if args.summary:
         experiments.write_sweep_summary(records, args.summary, grids, seed)
         print(f"wrote {args.summary}")
-    return EXIT_NUMERICAL if summary["n_failures"] else EXIT_OK
+    unconverged = sum(1 for rec in records if rec.converged is False)
+    if unconverged:
+        print(f"error: {unconverged} points did not converge", file=sys.stderr)
+    return EXIT_NUMERICAL if summary["n_failures"] or unconverged else EXIT_OK
 
 
 def cmd_pencil(args):

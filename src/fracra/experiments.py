@@ -130,14 +130,17 @@ def _circulant_symbol(mat):
 
     Taken as sum_j c_j - 2 sum_j c_j sin^2(pi j k / n) over the first column's
     offsets j in (-n/2, n/2]; an rfft of c loses ~3e-8 relative on the lowest
-    modes of a 131072-cell ring to the cancellation of c_0 ~ 2/h.
+    modes of a 131072-cell ring to the cancellation of c_0 ~ 2/h.  c is read
+    off the CSR first row, c_{-j mod n} = mat[0, j].
     """
     n = mat.shape[0]
-    coo = mat.tocoo()
-    col = mat[:, [0]].toarray().ravel()
+    first = slice(mat.indptr[0], mat.indptr[1])
+    col = np.zeros(n)
+    col[-mat.indices[first] % n] = mat.data[first]
     j = np.flatnonzero(col)
-    if (np.count_nonzero(coo.data) != n * j.size
-            or not np.array_equal(coo.data, col[(coo.row - coo.col) % n])):
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+    if (np.count_nonzero(mat.data) != n * j.size
+            or not np.array_equal(mat.data, col[(rows - mat.indices) % n])):
         raise ValueError("pencil is not circulant")
     angles = np.pi / n * np.outer(np.arange(n // 2 + 1), np.where(j > n // 2, j - n, j))
     return math.fsum(col[j]) - 2.0 * np.sin(angles) ** 2 @ col[j]
@@ -258,8 +261,9 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
 
     Each point builds one preconditioner, runs both minres and pcg with it to
     the same absolute tolerance in at most 500 iterations, and records
-    iteration counts, pole counts, and a quick definiteness probe of the
-    preconditioner.
+    iteration counts, pole counts, and a definiteness probe of the
+    preconditioner over ``audit_trials`` (at least 1) random vector pairs.
+    ``solve_seconds`` is the pcg solve's ``SolveReport.wall_time``.
     """
     by_point = {}
     for n_cells in mesh_grid:
@@ -275,16 +279,14 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
                         pencil, mu, K, tolerance)
                     g = interface_rhs(pencil, seed)
                     _, rep_minres = minres(system, precond, g, tol=tol_krylov, stop="abs")
-                    tic = time.perf_counter()
                     _, rep_pcg = pcg(system, precond, g, tol=tol_krylov, stop="abs")
-                    rec.solve_seconds = time.perf_counter() - tic
                     rec.fill_pf(pf)
                     rec.setup_seconds = setup
+                    rec.solve_seconds = rep_pcg.wall_time
                     rec.iterations_minres = rep_minres.iterations
                     rec.iterations_pcg = rep_pcg.iterations
                     rec.converged = rep_minres.converged and rep_pcg.converged
-                    if audit_trials:
-                        rec.min_rayleigh = spd_audit(precond, audit_trials, seed).min_rayleigh
+                    rec.min_rayleigh = spd_audit(precond, audit_trials, seed).min_rayleigh
                 except Exception as exc:
                     rec.failure = f"{type(exc).__name__}: {exc}"
                 by_point[(mu, K, n_cells)] = rec
@@ -297,8 +299,9 @@ def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
 
     Each Krylov iteration (at most 500) is two real FFTs (the exact system)
     plus O(n) shifted solves; ``setup_seconds`` covers the fit and pole extraction only and
-    ``solve_seconds`` the full Krylov loop including preconditioner applies.
-    Each timing is the best of ``repeats`` runs.
+    ``solve_seconds`` is the MinRes ``SolveReport.wall_time``, the full Krylov
+    loop including preconditioner applies.  Each timing is the best of
+    ``repeats`` runs.
     """
     pencils = {n: assemble_interface(n) for n in mesh_grid}
     # One fit window for the whole study keeps the setup cost comparable
@@ -322,14 +325,11 @@ def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
                     setup_times.append(time.perf_counter() - tic)
                 rec.setup_seconds = min(setup_times)
                 precond = RationalOperator(pf, pencil)
-                solve_times = []
-                for _ in range(repeats):
-                    tic = time.perf_counter()
-                    _, report = minres(system, precond, g, tol=tol_krylov, stop="abs")
-                    solve_times.append(time.perf_counter() - tic)
-                rec.solve_seconds = min(solve_times)
-                rec.iterations_minres = report.iterations
-                rec.converged = report.converged
+                reports = [minres(system, precond, g, tol=tol_krylov, stop="abs")[1]
+                           for _ in range(repeats)]
+                rec.solve_seconds = min(r.wall_time for r in reports)
+                rec.iterations_minres = reports[-1].iterations
+                rec.converged = reports[-1].converged
                 rec.fill_pf(pf)
             except Exception as exc:
                 rec.failure = f"{type(exc).__name__}: {exc}"

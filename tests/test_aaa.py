@@ -11,7 +11,9 @@ from fracra.aaa import (
     STOP_SAFETY,
     BarycentricForm,
     PartialFraction,
+    PoleExtractionError,
     _polish_poles,
+    _symmetrize_conjugates,
     aaa_fit,
     bary_eval,
     denormalize,
@@ -41,9 +43,20 @@ def test_constant_single_step():
     assert form.converged
     assert form.support_points.size == 1
     assert form.achieved_error == 0.0
+    # One support node: the arrowhead eigensolve has no finite eigenvalue.
     pf = to_partial_fraction(form)
     assert pf.degree == 0
-    assert pf.c0 == pytest.approx(1.0, abs=1e-15)
+    assert pf.c0 == 1.0
+    assert pf.validation_error == 0.0
+
+
+def test_unpaired_complex_pole_raises():
+    residues = np.array([1.0, 2.0 - 1.0j, 2.0 + 1.0j])
+    units = _symmetrize_conjugates(np.array([-2.0, 1.0 + 1.0j, 1.0 - 1.0j]), residues)
+    assert sorted(kind for kind, _, _ in units) == ["pair", "real"]
+    for poles in ([-2.0, 1.0 + 1.0j, 3.0 + 1.0j], [-2.0, 1.0 - 1.0j, 3.0 - 1.0j]):
+        with pytest.raises(PoleExtractionError, match="unpaired complex pole"):
+            _symmetrize_conjugates(np.array(poles), residues)
 
 
 def test_one_over_two_x():

@@ -1,13 +1,16 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import fracra.aaa as aaa
 import fracra.cli as cli
 import fracra.experiments as experiments
 from fracra.aaa import PoleExtractionError
 from fracra.cli import main
+from fracra.functions import FractionalSumFunction
 
 FIT_ARGS = ["fit", "--alpha", "1", "--beta", "1", "--s", "-0.5", "--t", "0.5",
             "--tol", "1e-12"]
@@ -82,6 +85,17 @@ def test_numerical_failure_exits_3(monkeypatch, capsys, failure, args, module, n
     assert str(failure) in capsys.readouterr().err
 
 
+def test_failed_residue_solve_raises_and_exits_3(monkeypatch, capsys):
+    def failed_dormqr(*_args, **_kwargs):
+        return None, None, -1
+
+    monkeypatch.setattr(aaa, "dormqr", failed_dormqr)
+    with pytest.raises(PoleExtractionError, match="dormqr info -1"):
+        aaa.fit_fractional_sum(FractionalSumFunction(1.0, 1.0, -0.5, 0.5, 1.0), 1e-12)
+    assert main(FIT_ARGS) == 3
+    assert "dormqr info -1" in capsys.readouterr().err
+
+
 def test_solve_interface(tmp_path, capsys):
     out = tmp_path / "report.json"
     args = ["solve-interface", "--mu", "1", "--K", "1", "--cells", "64",
@@ -137,6 +151,22 @@ def test_sweep_robustness_csv(tmp_path, capsys):
     assert rows[0][:2] == ["mu", "K"]
     assert len(rows) == 3
     assert "max_iterations_minres" in capsys.readouterr().out
+
+
+def test_sweep_unconverged_point_exits_3(tmp_path, monkeypatch, capsys):
+    real_minres = experiments.minres
+
+    def unconverged_minres(*args, **kwargs):
+        x, report = real_minres(*args, **kwargs)
+        return x, dataclasses.replace(report, converged=False)
+
+    monkeypatch.setattr(experiments, "minres", unconverged_minres)
+    code = main(["sweep", "robustness", "--mus", "1", "--Ks", "1e-6",
+                 "--meshes", "32", "--out", str(tmp_path / "rob.csv")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "0 failures" in captured.out
+    assert "1 points did not converge" in captured.err
 
 
 def test_sweep_complexity_csv(tmp_path):

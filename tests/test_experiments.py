@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import fracra.experiments as experiments
 from fracra.experiments import (
     ROBUSTNESS_KS,
     ROBUSTNESS_MUS,
@@ -181,6 +182,27 @@ def test_robustness_sweep_small_grid():
             assert max(counts) - min(counts) <= 5
     # grid order: mu-major, then K, then mesh
     assert [r.n_cells for r in records[:2]] == [32, 64]
+
+
+def test_sweep_solve_seconds_is_the_solve_report_time(monkeypatch):
+    reports = []
+
+    def recorded(solver):
+        def run(*args, **kwargs):
+            x, report = solver(*args, **kwargs)
+            reports.append(report)
+            return x, report
+        return run
+
+    for name in ("minres", "pcg"):
+        monkeypatch.setattr(experiments, name, recorded(getattr(experiments, name)))
+    (rec,) = robustness_sweep(mu_grid=(1.0,), K_grid=(1e-6,), mesh_grid=(32,))
+    assert [r.method for r in reports] == ["minres", "pcg"]
+    assert rec.solve_seconds == reports[-1].wall_time
+    reports.clear()
+    (rec,) = complexity_study(mesh_grid=(32,), repeats=2)
+    assert [r.method for r in reports] == ["minres", "minres"]
+    assert rec.solve_seconds == min(r.wall_time for r in reports)
 
 
 def test_complexity_study_records():
