@@ -52,7 +52,7 @@ __all__ = [
 
 # |Im p| below this (relative to the pole scale) is eigensolver noise.
 REAL_IMAG_RTOL = 1e-11
-# |p| below max(1, pole scale) times this counts as a pole at zero.
+# A real pole with |p| at most this counts as a pole at zero.
 ZERO_POLE_ATOL = 1e-10
 # Residues smaller than this (relative to the largest) mark spurious
 # pole/zero cancellation pairs and are dropped.
@@ -178,8 +178,8 @@ def aaa_fit(x, y, tolerance, max_degree=MAX_DEGREE):
         raise ValueError("sample abscissae and values must have equal length")
     if x.size < 2:
         raise ValueError("need at least 2 samples")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < np.inf:
+        raise ValueError("tolerance must be positive and finite")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     order = np.argsort(x, kind="stable")
@@ -324,12 +324,11 @@ def _audit_poles(poles):
     poles = np.asarray(poles, dtype=complex)
     if poles.size == 0:
         return PoleAudit(0, 0, 0, 0)
-    scale = max(1.0, float(np.max(np.abs(poles))))
     real_mask = poles.imag == 0.0
     realp = poles[real_mask].real
-    zero = int(np.count_nonzero(np.abs(realp) <= ZERO_POLE_ATOL * scale))
-    negative = int(np.count_nonzero(realp < -ZERO_POLE_ATOL * scale))
-    positive = int(np.count_nonzero(realp > ZERO_POLE_ATOL * scale))
+    zero = int(np.count_nonzero(np.abs(realp) <= ZERO_POLE_ATOL))
+    negative = int(np.count_nonzero(realp < -ZERO_POLE_ATOL))
+    positive = int(np.count_nonzero(realp > ZERO_POLE_ATOL))
     return PoleAudit(negative, zero, positive, int(np.count_nonzero(~real_mask)))
 
 
@@ -347,9 +346,10 @@ class PartialFraction:
     unit-interval fit and are left untouched by rescaling.
     ``validation_error`` is the deviation of this converted form against the
     samples it was derived from (None when unknown).  ``converged`` is
-    derived, the fit's verdict ``fit_error <= tolerance`` (None when
-    ``fit_error`` is unknown), and so survives rescaling; ``pole_audit`` is
-    derived from the poles.
+    derived, the verdict ``max(fit_error, validation_error) <= tolerance``
+    (``fit_error`` alone when ``validation_error`` is unknown, None when
+    ``fit_error`` is), and so survives rescaling; ``pole_audit`` is derived
+    from the poles.
     """
 
     c0: float
@@ -389,16 +389,20 @@ class PartialFraction:
 
     @property
     def converged(self):
-        return None if self.fit_error is None else bool(self.fit_error <= self.tolerance)
+        if self.fit_error is None:
+            return None
+        return all(e is None or e <= self.tolerance
+                   for e in (self.fit_error, self.validation_error))
 
     @functools.cached_property
     def terms(self):
         """(kind, pole, residue) per real pole ("real", real scalars) and per
         conjugate pair ("pair", the pole with positive imaginary part), in
         ascending |pole| order."""
-        terms = [("real", self.poles[k].real, self.residues[k].real) for k in self._real_idx]
-        terms += [("pair", self.poles[k], self.residues[k]) for k in self._pair_idx]
-        return sorted(terms, key=_term_order)
+        idx = np.flatnonzero(self.poles.imag >= 0.0)
+        idx = idx[_by_modulus(self.poles[idx])]
+        return [("real", p.real, c.real) if p.imag == 0.0 else ("pair", p, c)
+                for p, c in zip(self.poles[idx], self.residues[idx])]
 
     def __call__(self, x):
         return eval_pf(self, x)
@@ -406,14 +410,14 @@ class PartialFraction:
 
 def _symmetrize_conjugates(poles, residues):
     """Strip eigensolver noise off real poles and average each complex pole
-    with its nearest conjugate; raises PoleExtractionError if one has none."""
+    with its nearest conjugate.  Returns complex ``(p, c, pair)``: the real
+    poles first, then each conjugate pair as its upper pole, and the mask of
+    the pairs.  Raises PoleExtractionError if a complex pole has no
+    conjugate."""
     poles = np.asarray(poles, dtype=complex)
     residues = np.asarray(residues, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(poles))) if poles.size else 1.0)
     real_mask = np.abs(poles.imag) <= REAL_IMAG_RTOL * scale
-
-    units = [("real", complex(p.real), complex(c.real))
-             for p, c in zip(poles[real_mask], residues[real_mask])]
 
     cpoles = poles[~real_mask]
     cres = residues[~real_mask]
@@ -424,31 +428,21 @@ def _symmetrize_conjugates(poles, residues):
     if len(upper) != len(lower):
         raise PoleExtractionError(
             f"unpaired complex pole: {len(upper)} above the real axis, {len(lower)} below")
+    partner = []
     for i in upper:
-        j = min(lower, key=lambda k: abs(np.conj(cpoles[i]) - cpoles[k]))
-        lower.remove(j)
-        p = 0.5 * (cpoles[i] + np.conj(cpoles[j]))
-        c = 0.5 * (cres[i] + np.conj(cres[j]))
-        units.append(("pair", p, c))
-    return units
+        partner.append(min(lower, key=lambda k: abs(np.conj(cpoles[i]) - cpoles[k])))
+        lower.remove(partner[-1])
+    upper, partner = np.array(upper, dtype=int), np.array(partner, dtype=int)
+    p = np.concatenate([poles[real_mask].real,
+                        0.5 * (cpoles[upper] + np.conj(cpoles[partner]))], dtype=complex)
+    c = np.concatenate([residues[real_mask].real,
+                        0.5 * (cres[upper] + np.conj(cres[partner]))], dtype=complex)
+    return p, c, np.arange(p.size) >= np.count_nonzero(real_mask)
 
 
-def _term_order(term):
-    """Sort key of a (kind, pole, residue) term: ascending |pole|."""
-    pole = term[1]
-    return abs(pole), pole.real, abs(pole.imag)
-
-
-def _units_to_arrays(units):
-    """Expand (kind, pole, residue) units into arrays sorted by |pole|."""
-    poles, residues = [], []
-    for kind, p, c in sorted(units, key=_term_order):
-        poles.append(p)
-        residues.append(c)
-        if kind == "pair":
-            poles.append(np.conj(p))
-            residues.append(np.conj(c))
-    return np.asarray(poles, dtype=complex), np.asarray(residues, dtype=complex)
+def _by_modulus(poles):
+    """Stable order of ``poles`` by ascending |p|, then Re p, then |Im p|."""
+    return np.lexsort((np.abs(poles.imag), poles.real, np.abs(poles)))
 
 
 def _polish_poles(poles, zj, wj):
@@ -482,37 +476,35 @@ def _polish_poles(poles, zj, wj):
     return polished
 
 
-def _refit_residues(units, x, values, linear=False):
+def _refit_residues(p, pair, x, values, linear=False):
     """Re-solve the constant term and residues with the poles held fixed.
 
     The pole-limit formula loses a few digits for exponentially clustered pole
     sets, so the coefficients are recomputed as the least-squares projection
-    of the interpolant values onto the Cauchy basis at the fixed poles, plus
-    the column x when ``linear`` is set.  Conjugate pairs are folded to two
-    real columns, keeping the pairing exact.  The column-scaled basis is
-    built column-major and reduced by Householder QR (``dgeqrf``, then
-    ``dormqr`` for Q^T values); the k x k triangle is solved by minimum-norm
-    ``lstsq`` with singular values below eps * max(n, k) times the largest
-    cut, the truncation an SVD solve of the tall basis applies.  Returns
-    ``(units, c0, c1)``.  Raises PoleExtractionError when ``dgeqrf`` or
-    ``dormqr`` reports a nonzero info or a coefficient is not finite.
+    of the interpolant values onto the Cauchy basis at the fixed poles ``p``,
+    plus the column x when ``linear`` is set.  Each conjugate pair (``pair``
+    marks its upper pole) is folded to two real columns, keeping the pairing
+    exact; the real poles' columns come first, then the pairs' interleaved.
+    The column-scaled basis is built column-major and reduced by Householder
+    QR (``dgeqrf``, then ``dormqr`` for Q^T values); the k x k triangle is
+    solved by minimum-norm ``lstsq`` with singular values below
+    eps * max(n, k) times the largest cut, the truncation an SVD solve of the
+    tall basis applies.  Returns ``(residues, c0, c1)``, the residues in the
+    order of ``p``.  Raises PoleExtractionError when ``dgeqrf`` or ``dormqr``
+    reports a nonzero info or a coefficient is not finite.
     """
-    k = 1 + int(linear) + sum(1 if kind == "real" else 2 for kind, _, _ in units)
+    head = 1 + int(linear)
+    real_poles, upper = p[~pair].real, p[pair]
+    start = head + real_poles.size  # the first column of the pairs
+    k = start + 2 * upper.size
     basis = np.empty((x.size, k), order="F")
     basis[:, 0] = 1.0
-    col = 1
     if linear:
-        basis[:, col] = x
-        col += 1
-    for kind, p, _ in units:
-        if kind == "real":
-            np.divide(1.0, x - p.real, out=basis[:, col])
-            col += 1
-        else:
-            q = 1.0 / (x - p)
-            np.multiply(2.0, q.real, out=basis[:, col])
-            np.multiply(-2.0, q.imag, out=basis[:, col + 1])
-            col += 2
+        basis[:, 1] = x
+    np.divide(1.0, x[:, None] - real_poles, out=basis[:, head:start])
+    q = 1.0 / (x[:, None] - upper)
+    np.multiply(2.0, q.real, out=basis[:, start::2])
+    np.multiply(-2.0, q.imag, out=basis[:, start + 1::2])
     col_scale = np.linalg.norm(basis, axis=0)
     col_scale[col_scale == 0.0] = 1.0
     basis /= col_scale
@@ -530,21 +522,21 @@ def _refit_residues(units, x, values, linear=False):
     if not np.all(np.isfinite(coef)):
         raise PoleExtractionError("residue least squares gave a non-finite coefficient")
     c1 = float(coef[1]) if linear else 0.0
-    out = []
-    k = 2 if linear else 1
-    for kind, p, _ in units:
-        if kind == "real":
-            out.append((kind, p, complex(coef[k])))
-            k += 1
-        else:
-            out.append((kind, p, complex(coef[k], coef[k + 1])))
-            k += 2
-    return out, float(coef[0]), c1
+    residues = np.empty(p.size, dtype=complex)
+    residues[~pair] = coef[head:start]
+    residues[pair] = coef[start:].view(complex)  # (Re, Im) column pairs
+    return residues, float(coef[0]), c1
 
 
-def _checked_form(units, c0, c1, form):
-    """Partial fraction from units, validated against the form's samples."""
-    poles, residues = _units_to_arrays(units)
+def _checked_form(p, pair, c, c0, c1, form):
+    """Partial fraction of the terms ``c / (x - p)``, each pair given by its
+    upper pole, validated against the form's samples.  The poles are sorted
+    by :func:`_by_modulus`, each upper pole followed by its conjugate."""
+    order = _by_modulus(p)
+    p, pair, c = p[order], pair[order], c[order]
+    poles, residues = np.repeat(p, 1 + pair), np.repeat(c, 1 + pair)
+    lower = np.cumsum(1 + pair)[pair] - 1
+    poles[lower], residues[lower] = np.conj(p[pair]), np.conj(c[pair])
     pf = PartialFraction(c0, residues, poles, form.tolerance,
                          fit_error=form.achieved_error, c1=c1)
     deviation = np.max(np.abs(eval_pf(pf, form.grid) - form.grid_values))
@@ -562,8 +554,9 @@ def to_partial_fraction(form):
     Residues start from the numerator over the denominator derivative at each
     pole and are then re-solved by least squares on the grid, which keeps the
     converted form consistent with the interpolant to machine level.
-    Spurious poles with negligible residues are dropped and the form is
-    validated against the grid samples.
+    A pole whose residue is not finite, as one exactly on a support node, is
+    dropped with a RuntimeWarning.  Spurious poles with negligible residues
+    are dropped and the form is validated against the grid samples.
 
     An interpolant whose denominator has lost a degree (weights summing to
     zero) has a pole at infinity, which the eigensolve returns as a huge or
@@ -600,17 +593,12 @@ def to_partial_fraction(form):
     # went to infinity.
     at_infinity = finite_eigs.size < m - 1
     poles = _polish_poles(finite_eigs, zj, wj)
-    # A pole sitting exactly on a support node is a spurious zero/pole
-    # cancellation at that node (the interpolant is finite there).
-    on_node = np.isin(poles, zj.astype(complex))
-    if np.any(on_node):
-        warnings.warn("dropping pole located exactly on a support node",
-                      RuntimeWarning)
-        poles = poles[~on_node]
-    cauchy = 1.0 / (poles[:, None] - zj[None, :])
-    numer = cauchy @ (wj * fj)
-    dderiv = (-(cauchy**2)) @ wj
+    # A pole exactly on a support node, a spurious zero/pole cancellation
+    # there, has 1/0 in its Cauchy row and so a non-finite residue.
     with np.errstate(divide="ignore", invalid="ignore"):
+        cauchy = 1.0 / (poles[:, None] - zj[None, :])
+        numer = cauchy @ (wj * fj)
+        dderiv = (-(cauchy**2)) @ wj
         residues = numer / dderiv
     finite = np.isfinite(residues)
     if not np.all(finite):
@@ -622,46 +610,43 @@ def to_partial_fraction(form):
         if np.any(gaps <= 1e-12 * max(1.0, float(np.max(np.abs(poles))))):
             warnings.warn("nearly coincident pole pair detected", RuntimeWarning)
 
-    units = _symmetrize_conjugates(poles, residues)
+    p, c, pair = _symmetrize_conjugates(poles, residues)
 
-    # Spurious-pole cleanup, two tests per unit: a residue that vanishes
-    # relative to the largest one marks a zero/pole cancellation pair, and a
-    # largest-contribution-over-the-grid far below the deviation target marks
-    # a pole the approximant does not actually use.  Either way pruning moves
-    # the approximant by less than the deviation target.
-    if units:
-        res_scale = max(abs(c) for _, _, c in units)
-        if res_scale > 0:
-            units = [u for u in units if abs(u[2]) > FROISSART_RTOL * res_scale]
-
-    values = bary_eval(form, form.grid)
-    kept = units
-    if units:
-        kinds, p, c = (np.array(v) for v in zip(*units))
+    grid = form.grid
+    values = bary_eval(form, grid)
+    if p.size:
+        # Spurious-pole cleanup, one keep-mask of two tests: a residue that
+        # vanishes relative to the largest one marks a zero/pole cancellation
+        # pair, and a largest contribution over the grid far below the
+        # deviation target marks a pole the approximant does not actually
+        # use.  Either way pruning moves the approximant by less than the
+        # deviation target.
+        size = np.abs(c)
         # |x - p| is smallest at a grid neighbour of Re p.
-        grid = form.grid
         hi = np.minimum(np.searchsorted(grid, p.real), grid.size - 1)
         lo = np.maximum(hi - 1, 0)
         gap = np.minimum(np.abs(grid[lo] - p.real), np.abs(grid[hi] - p.real))
         dist = np.maximum(np.hypot(gap, p.imag), np.finfo(float).tiny)
-        weight = np.where(kinds == "real", 1.0, 2.0) * np.abs(c)
-        used = weight / dist > 0.05 * form.tolerance
-        kept = [u for u, keep in zip(units, used) if keep]
-        pf = _checked_form(*_refit_residues(kept, form.grid, values), form)
+        weight = np.where(pair, 2.0, 1.0) * size
+        keep = ((size > FROISSART_RTOL * size.max())
+                & (weight / dist > 0.05 * form.tolerance))
+        p, pair = p[keep], pair[keep]
+        pf = _checked_form(p, pair, *_refit_residues(p, pair, grid, values), form)
     else:
         # A constant interpolant keeps its exact barycentric value as c0.
         with np.errstate(divide="ignore", invalid="ignore"):
             c0 = float((wj * fj).sum() / wj.sum())
-        pf = _checked_form(kept, c0, 0.0, form)
+        pf = _checked_form(p, pair, c, c0, 0.0, form)
 
-    reach = FOLD_RATIO * np.max(np.abs(form.grid))
-    far = [u for u in kept if u[0] == "real" and abs(u[1]) > reach]
+    reach = FOLD_RATIO * np.max(np.abs(grid))
+    modulus = np.where(pair, 0.0, np.abs(p))  # of the real poles
+    far = np.max(modulus, initial=0.0) > reach
     if far or at_infinity:
-        if far:
-            fold = max(far, key=lambda u: abs(u[1]))
-            kept = [u for u in kept if u is not fold]
+        # The farthest real pole beyond reach, if any, becomes the linear term.
+        keep = np.arange(p.size) != (np.argmax(modulus) if far else -1)
+        p, pair = p[keep], pair[keep]
         folded = _checked_form(
-            *_refit_residues(kept, form.grid, values, linear=True), form)
+            p, pair, *_refit_residues(p, pair, grid, values, linear=True), form)
         bound = min(form.tolerance,
                     max(pf.validation_error, form.achieved_error))
         if folded.validation_error <= bound:

@@ -209,13 +209,16 @@ def solve_interface(pencil, mu, K, tol_ra, tol_krylov=1e-10, method="minres", se
     """Fit the reciprocal symbol, precondition, and solve S lam = g on the
     closed-curve pencil for viscosity mu and permeability K.
 
-    The Krylov solve stops after at most 500 iterations.  Returns
+    The Krylov solve stops after at most 500 iterations.  The solver
+    arguments are checked before the fit.  Returns
     ``(solution, SolveReport, PartialFraction, setup_seconds)`` where
     ``setup_seconds`` covers the fit and pole extraction only (factorizations
     excluded).
     """
     if method not in ("minres", "pcg"):
         raise ValueError(f"unknown method {method!r}")
+    if not 0 < tol_krylov < math.inf:
+        raise ValueError("tol must be positive and finite")
     system = FourierInterfaceSystem(pencil, mu, K)
     pf, precond, setup_seconds = _fit_preconditioner(pencil, mu, K, tol_ra)
     g = interface_rhs(pencil, seed)

@@ -98,8 +98,8 @@ def _energy(r, z, iteration):
 
 
 def _check_stop(tol, max_iter, stop):
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if stop not in ("abs", "rel"):

@@ -51,9 +51,14 @@ def test_constant_single_step():
 
 
 def test_unpaired_complex_pole_raises():
+    # The real poles come first, then each pair as its upper pole with the
+    # residue averaged against its conjugate's, and the mask of the pairs.
     residues = np.array([1.0, 2.0 - 1.0j, 2.0 + 1.0j])
-    units = _symmetrize_conjugates(np.array([-2.0, 1.0 + 1.0j, 1.0 - 1.0j]), residues)
-    assert sorted(kind for kind, _, _ in units) == ["pair", "real"]
+    p, c, pair = _symmetrize_conjugates(np.array([1.0 - 1.0j, -2.0, 1.0 + 1.0j]),
+                                        residues[[2, 0, 1]])
+    assert p.tolist() == [-2.0, 1.0 + 1.0j]
+    assert c.tolist() == [1.0, 2.0 - 1.0j]
+    assert pair.tolist() == [False, True]
     for poles in ([-2.0, 1.0 + 1.0j, 3.0 + 1.0j], [-2.0, 1.0 - 1.0j, 3.0 - 1.0j]):
         with pytest.raises(PoleExtractionError, match="unpaired complex pole"):
             _symmetrize_conjugates(np.array(poles), residues)
@@ -143,13 +148,23 @@ def test_non_convergence_reported():
 
 
 
-@pytest.mark.parametrize("fit_error,want", [(1e-13, True), (1e-12, True), (2e-12, False),
-                                            (None, None)])
-def test_converged_follows_fit_error_and_tolerance(fit_error, want):
-    # The verdict is derived, not stored: it is fit_error <= tolerance on the
-    # normalized fit, which both rescalings and the JSON form keep, and a
-    # "converged" key in a file is ignored.
-    pf = PartialFraction(0.5, [2.0], [-4.0], 1e-12, fit_error=fit_error)
+@pytest.mark.parametrize("fit_error,validation_error,want", [
+    pytest.param(1e-13, None, True, id="1e-13-True"),
+    pytest.param(1e-12, None, True, id="1e-12-True"),
+    pytest.param(2e-12, None, False, id="2e-12-False"),
+    pytest.param(None, None, None, id="None-None"),
+    pytest.param(1e-13, 1e-12, True, id="1e-13-validated-1e-12-True"),
+    pytest.param(1e-13, 2e-12, False, id="1e-13-validated-2e-12-False"),
+    pytest.param(2e-12, 1e-13, False, id="2e-12-validated-1e-13-False"),
+    pytest.param(None, 1e-13, None, id="None-validated-1e-13-None"),
+])
+def test_converged_follows_fit_error_and_tolerance(fit_error, validation_error, want):
+    # The verdict is derived, not stored: it is max(fit_error,
+    # validation_error) <= tolerance on the normalized fit (fit_error alone
+    # when the form was never validated), which both rescalings and the JSON
+    # form keep, and a "converged" key in a file is ignored.
+    pf = PartialFraction(0.5, [2.0], [-4.0], 1e-12, fit_error=fit_error,
+                         validation_error=validation_error)
     assert pf.converged is want
     assert denormalize(pf, 3.0).converged is want
     assert scale_to_interval(pf, 8.0).converged is want
@@ -307,6 +322,82 @@ def test_greedy_is_bitwise_the_numpy_qr_step(case, monkeypatch):
     assert form.error_history == history
 
 
+def test_pole_on_a_support_node_is_dropped_as_non_finite(monkeypatch):
+    # In this pencil fit one polished denominator root lands exactly on a
+    # support node.  Its Cauchy row holds 1/0, so its residue is not finite,
+    # and that one drop gives the form converted without the pole.
+    x, y, tol, max_degree = pencil_fit_samples(monkeypatch, 128, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        form = aaa_fit(x, y, tol, max_degree)
+    real_polish, polished = aaa_module._polish_poles, []
+
+    def recording_polish(*args):
+        polished.append(real_polish(*args))
+        return polished[-1]
+
+    monkeypatch.setattr(aaa_module, "_polish_poles", recording_polish)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pf = to_partial_fraction(form)
+    on_node = np.isin(polished[0], form.support_points)
+    assert np.count_nonzero(on_node) == 1
+    assert [str(w.message) for w in caught] == ["dropping pole with non-finite residue"]
+    monkeypatch.setattr(aaa_module, "_polish_poles",
+                        lambda *args: polished[0][~on_node])
+    without = to_partial_fraction(form)
+    assert (pf.c0, pf.c1) == (without.c0, without.c1)
+    assert np.array_equal(pf.poles, without.poles)
+    assert np.array_equal(pf.residues, without.residues)
+
+
+def rational_form(poles, residues, fit_error=1e-13, tolerance=1e-12):
+    """The barycentric form of sum(residues / (x - poles)) on len(poles) + 1
+    support points, with its samples on a logarithmic grid of (0, 1].  Its
+    weights are q(z_j) / prod(z_j - z_k, k != j) for q the monic polynomial
+    with roots ``poles``, so its denominator is q over the node polynomial."""
+    poles, residues = np.asarray(poles), np.asarray(residues)
+    grid = np.geomspace(1e-3, 1.0, 200)
+    support = grid[np.linspace(0, grid.size - 1, poles.size + 1).astype(int)]
+    weights = np.array([np.prod(z - poles) / np.prod(z - np.delete(support, j))
+                        for j, z in enumerate(support)])
+
+    def r(x):
+        return (residues / (x[:, None] - poles)).sum(axis=1)
+
+    return BarycentricForm(support, r(support), weights, fit_error, tolerance,
+                           grid=grid, grid_values=r(grid))
+
+
+@pytest.mark.parametrize("pole, residue, tolerance", [
+    (-10.0, 1e-7, 1e-6), (-1e-2, 1e-14, 1e-12),
+], ids=["unused-on-the-grid", "froissart"])
+def test_cleanup_drops_a_negligible_pole(pole, residue, tolerance):
+    # The second term of 1/(x + 1) + residue/(x - pole) either stays far below
+    # the deviation target on the whole grid, though its residue is above the
+    # Froissart cut, or has a residue below the cut, though it is not
+    # negligible on the grid.  Each test of the keep-mask drops it alone.
+    pf = to_partial_fraction(rational_form([-1.0, pole], [1.0, residue],
+                                           tolerance=tolerance))
+    assert pf.degree == 1
+    assert pf.poles[0] == pytest.approx(-1.0, rel=1e-12)
+    assert pf.validation_error <= pf.tolerance
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["as-found", "reversed"])
+def test_fold_takes_the_farthest_real_pole(monkeypatch, reverse):
+    # Two real poles lie beyond FOLD_RATIO times the grid.  Only the farther
+    # one is linear on the grid to within the tolerance, so in whichever order
+    # the eigensolve returns the poles, it is the one folded into c1.
+    real_polish = aaa_module._polish_poles
+    monkeypatch.setattr(aaa_module, "_polish_poles",
+                        lambda *args: real_polish(*args)[::-1 if reverse else 1])
+    pf = to_partial_fraction(rational_form([-1.0, -1e4, -1e6], [1.0, 1e2, 1e4]))
+    assert pf.c1 != 0.0
+    assert np.sort(pf.poles.real) == pytest.approx([-1e4, -1.0], rel=1e-3)
+    assert pf.validation_error <= 1e-13
+
+
 def scalar_newton_polish(poles, zj, wj, max_steps=10):
     """Per-pole Newton on sum(w/(x-z)), stopping a pole at its first step
     that does not decrease |denominator|."""
@@ -372,8 +463,9 @@ def test_invalid_inputs():
         aaa_fit(x, np.ones(3), 1e-6)
     with pytest.raises(ValueError):
         aaa_fit(np.array([1.0]), np.array([1.0]), 1e-6)
-    with pytest.raises(ValueError):
-        aaa_fit(np.array([0.1, 0.2]), np.ones(2), -1.0)
+    for tolerance in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            aaa_fit(np.array([0.1, 0.2]), np.ones(2), tolerance)
     with pytest.raises(ValueError):
         aaa_fit(np.array([0.1, 0.2]), np.ones(2), 1e-6, max_degree=0)
 
@@ -545,6 +637,15 @@ def test_conjugate_closure_on_fitted_pairs():
     assert values.dtype == np.float64
     target = x / (gamma + x * x)
     assert np.max(np.abs(values - target)) <= 1e-11
+
+
+def test_audit_zero_band_does_not_scale_with_the_largest_pole():
+    # |p| <= ZERO_POLE_ATOL is a pole at zero whatever the other poles are.
+    audit = PartialFraction(0.0, [1.0, 1.0], [-1.0, -1e12], 1e-12).pole_audit
+    assert audit.as_dict() == {"real_negative": 2, "real_zero": 0,
+                               "real_positive": 0, "complex_pair": 0}
+    audit = PartialFraction(0.0, [1.0, 1.0, 1.0], [-1e-11, 1e-11, -1e12], 1e-12).pole_audit
+    assert (audit.real_zero, audit.real_negative) == (2, 1)
 
 
 def test_audit_counts_sum_to_degree():

@@ -61,13 +61,29 @@ def test_fit_nonconvergence_exits_3(capsys):
     assert "did not reach tolerance" in capsys.readouterr().err
 
 
-def test_fit_gates_on_the_written_form(capsys):
+def test_fit_gates_on_the_written_form(tmp_path, capsys):
     # The barycentric fit meets 1e-12, but its pole/residue form is off by
-    # ~6e-6: the form is what --out writes, so the fit fails.
+    # ~6e-6: the form is what --out writes, so the fit fails and the file
+    # carries the same verdict.
+    out = tmp_path / "pf.json"
     code = main(["fit", "--alpha", "1e-6", "--beta", "1e-10", "--s", "-1",
-                 "--t", "-0.8", "--tol", "1e-12"])
+                 "--t", "-0.8", "--tol", "1e-12", "--out", str(out)])
     assert code == 3
     assert "did not reach tolerance" in capsys.readouterr().err
+    data = json.loads(out.read_text())
+    assert data["fit_error"] <= 1e-12 < data["validation_error"]
+    assert data["converged"] is False
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("args, flag", [
+    (FIT_ARGS, "--tol"), (SOLVE_ARGS, "--tol-ra"), (SOLVE_ARGS, "--tol-krylov"),
+], ids=["fit", "solve-tol-ra", "solve-tol-krylov"])
+def test_tolerance_not_positive_and_finite_exits_2(capsys, args, flag, value):
+    args = list(args)
+    args[args.index(flag) + 1] = value
+    assert main(args) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("failure", NUMERICAL_FAILURES, ids=lambda e: type(e).__name__)

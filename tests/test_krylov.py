@@ -133,8 +133,11 @@ def test_stop_mode_validation():
     b = np.ones(3)
     with pytest.raises(ValueError):
         pcg(A, None, b, tol=1e-10, stop="bogus")
-    with pytest.raises(ValueError):
-        minres(A, None, b, tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            minres(A, None, b, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            pcg(A, None, b, tol=tol)
     with pytest.raises(ValueError):
         minres(A, None, b, tol=1e-10, max_iter=0)
 
