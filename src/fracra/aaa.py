@@ -15,7 +15,6 @@ poles, solved by Householder QR.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -320,16 +319,13 @@ class PoleAudit:
         }
 
 
-def _audit_poles(poles):
-    poles = np.asarray(poles, dtype=complex)
-    if poles.size == 0:
-        return PoleAudit(0, 0, 0, 0)
-    real_mask = poles.imag == 0.0
-    realp = poles[real_mask].real
+def _audit_poles(p, pair):
+    """Counts of the poles of the terms ``(p, c, pair)`` of a form."""
+    realp = p[~pair].real
     zero = int(np.count_nonzero(np.abs(realp) <= ZERO_POLE_ATOL))
     negative = int(np.count_nonzero(realp < -ZERO_POLE_ATOL))
     positive = int(np.count_nonzero(realp > ZERO_POLE_ATOL))
-    return PoleAudit(negative, zero, positive, int(np.count_nonzero(~real_mask)))
+    return PoleAudit(negative, zero, positive, 2 * int(np.count_nonzero(pair)))
 
 
 @dataclass
@@ -348,8 +344,10 @@ class PartialFraction:
     samples it was derived from (None when unknown).  ``converged`` is
     derived, the verdict ``max(fit_error, validation_error) <= tolerance``
     (``fit_error`` alone when ``validation_error`` is unknown, None when
-    ``fit_error`` is), and so survives rescaling; ``pole_audit`` is derived
-    from the poles.
+    ``fit_error`` is), and so survives rescaling.  ``terms`` is the arrays
+    ``(p, c, pair)``: the real poles and the upper pole of each conjugate
+    pair in ascending |pole| order, their residues, and the mask of the
+    pairs; it and ``pole_audit`` are derived from the poles at construction.
     """
 
     c0: float
@@ -360,6 +358,7 @@ class PartialFraction:
     validation_error: float = None
     c1: float = 0.0
     pole_audit: PoleAudit = field(init=False)
+    terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.residues = np.atleast_1d(np.asarray(self.residues, dtype=complex))
@@ -379,9 +378,11 @@ class PartialFraction:
             )
             if units != mirrored:
                 raise ValueError("complex poles must form exact conjugate pairs with conjugate residues")
-        self._real_idx = np.flatnonzero(real_mask)
-        self._pair_idx = np.flatnonzero(self.poles.imag > 0.0)
-        self.pole_audit = _audit_poles(self.poles)
+        idx = np.flatnonzero(self.poles.imag >= 0.0)
+        idx = idx[_by_modulus(self.poles[idx])]
+        p = self.poles[idx]
+        self.terms = (p, self.residues[idx], p.imag > 0.0)
+        self.pole_audit = _audit_poles(p, self.terms[2])
 
     @property
     def degree(self):
@@ -393,16 +394,6 @@ class PartialFraction:
             return None
         return all(e is None or e <= self.tolerance
                    for e in (self.fit_error, self.validation_error))
-
-    @functools.cached_property
-    def terms(self):
-        """(kind, pole, residue) per real pole ("real", real scalars) and per
-        conjugate pair ("pair", the pole with positive imaginary part), in
-        ascending |pole| order."""
-        idx = np.flatnonzero(self.poles.imag >= 0.0)
-        idx = idx[_by_modulus(self.poles[idx])]
-        return [("real", p.real, c.real) if p.imag == 0.0 else ("pair", p, c)
-                for p, c in zip(self.poles[idx], self.residues[idx])]
 
     def __call__(self, x):
         return eval_pf(self, x)
@@ -667,15 +658,14 @@ def eval_pf(pf, x):
     out = np.full(xv.shape, pf.c0)
     if pf.c1 != 0.0:
         out += pf.c1 * xv
-    if pf._real_idx.size:
-        rp = pf.poles[pf._real_idx].real
-        rc = pf.residues[pf._real_idx].real
-        diff = xv[:, None] - rp[None, :]
+    p, c, pair = pf.terms
+    if not pair.all():
+        diff = xv[:, None] - p[~pair].real[None, :]
         if np.any(diff == 0.0):
             raise ValueError("evaluation at a real pole is undefined")
-        out += (1.0 / diff) @ rc
-    for k in pf._pair_idx:
-        out += 2.0 * np.real(pf.residues[k] / (xv - pf.poles[k]))
+        out += (1.0 / diff) @ c[~pair].real
+    for pk, ck in zip(p[pair], c[pair]):
+        out += 2.0 * np.real(ck / (xv - pk))
     if scalar:
         return float(out[0])
     return out.reshape(np.shape(x))
@@ -768,7 +758,7 @@ def partial_fraction_from_dict(data):
 
     A dictionary without ``"c1"`` (schema 1, written before the linear term
     existed) reads as c1 = 0.  ``"converged"`` is ignored: the form derives it
-    from ``fit_error`` and ``tolerance``.
+    from ``fit_error``, ``validation_error`` and ``tolerance``.
     """
     poles = np.array([complex(re, im) for re, im in data["poles"]], dtype=complex)
     residues = np.array([complex(re, im) for re, im in data["residues"]], dtype=complex)

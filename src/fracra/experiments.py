@@ -193,6 +193,12 @@ def interface_rhs(pencil, seed=0):
     return g
 
 
+def _check_tolerances(*tolerances):
+    """Raise ValueError unless every tolerance is positive and finite."""
+    if not all(0 < tol < math.inf for tol in tolerances):
+        raise ValueError(f"tolerances must be positive and finite: {tolerances}")
+
+
 def _fit_preconditioner(pencil, mu, K, tol_ra):
     """Fit the reciprocal interface symbol and build its shifted-solve operator.
 
@@ -217,8 +223,7 @@ def solve_interface(pencil, mu, K, tol_ra, tol_krylov=1e-10, method="minres", se
     """
     if method not in ("minres", "pcg"):
         raise ValueError(f"unknown method {method!r}")
-    if not 0 < tol_krylov < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_tolerances(tol_krylov)
     system = FourierInterfaceSystem(pencil, mu, K)
     pf, precond, setup_seconds = _fit_preconditioner(pencil, mu, K, tol_ra)
     g = interface_rhs(pencil, seed)
@@ -231,10 +236,12 @@ def pole_sweep(tolerance=1e-12, exponents=EXPONENT_GRID, alphas=POLE_SWEEP_ALPHA
                betas=POLE_SWEEP_BETAS, max_degree=MAX_DEGREE):
     """Fit every (s, t, alpha, beta) grid point on (0, 1] and record the poles.
 
-    Each fit samples :func:`fit_fractional_sum`'s default grid.  Per-point
-    failures are recorded in the record instead of raised, so the grid is
-    always fully enumerated.
+    Each fit samples :func:`fit_fractional_sum`'s default grid.  A tolerance
+    that is not positive and finite raises ValueError before the grid;
+    per-point failures are recorded in the record instead of raised, so the
+    grid is always fully enumerated.
     """
+    _check_tolerances(tolerance)
     records = []
     for s in exponents:
         for t in exponents:
@@ -266,13 +273,15 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
     the same absolute tolerance in at most 500 iterations, and records
     iteration counts, pole counts, and a definiteness probe of the
     preconditioner over ``audit_trials`` (at least 1) random vector pairs.
-    ``solve_seconds`` is the pcg solve's ``SolveReport.wall_time``.
+    ``solve_seconds`` is the minres solve's ``SolveReport.wall_time``.  The
+    tolerances are checked, and each mesh's pencil assembled, before the grid.
     """
-    by_point = {}
-    for n_cells in mesh_grid:
-        pencil = assemble_interface(n_cells)
-        for mu in mu_grid:
-            for K in K_grid:
+    _check_tolerances(tolerance, tol_krylov)
+    pencils = [assemble_interface(n_cells) for n_cells in mesh_grid]
+    records = []
+    for mu in mu_grid:
+        for K in K_grid:
+            for n_cells, pencil in zip(mesh_grid, pencils):
                 rec = SweepRecord(kind="robustness", mu=mu, K=K,
                                   n_cells=n_cells, n_c=pencil.n_c,
                                   tolerance=tolerance, tol_krylov=tol_krylov)
@@ -285,15 +294,15 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
                     _, rep_pcg = pcg(system, precond, g, tol=tol_krylov, stop="abs")
                     rec.fill_pf(pf)
                     rec.setup_seconds = setup
-                    rec.solve_seconds = rep_pcg.wall_time
+                    rec.solve_seconds = rep_minres.wall_time
                     rec.iterations_minres = rep_minres.iterations
                     rec.iterations_pcg = rep_pcg.iterations
                     rec.converged = rep_minres.converged and rep_pcg.converged
                     rec.min_rayleigh = spd_audit(precond, audit_trials, seed).min_rayleigh
                 except Exception as exc:
                     rec.failure = f"{type(exc).__name__}: {exc}"
-                by_point[(mu, K, n_cells)] = rec
-    return [by_point[(mu, K, n)] for mu in mu_grid for K in K_grid for n in mesh_grid]
+                records.append(rec)
+    return records
 
 
 def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
@@ -304,8 +313,9 @@ def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
     plus O(n) shifted solves; ``setup_seconds`` covers the fit and pole extraction only and
     ``solve_seconds`` is the MinRes ``SolveReport.wall_time``, the full Krylov
     loop including preconditioner applies.  Each timing is the best of
-    ``repeats`` runs.
+    ``repeats`` runs.  The tolerances are checked before the grid.
     """
+    _check_tolerances(*tolerance_grid, tol_krylov)
     pencils = {n: assemble_interface(n) for n in mesh_grid}
     # One fit window for the whole study keeps the setup cost comparable
     # across meshes; it must reach below the smallest scaled eigenvalue of the

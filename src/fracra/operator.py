@@ -260,12 +260,13 @@ class RationalOperator:
         self.pf = pf
         self.pencil = pencil
         A, M = pencil.A, pencil.M
+        poles, residues, pair = pf.terms
         bordered = _bordered_tridiagonal(A, M)
         if bordered is not None:
             index, (a_parts, m_parts) = bordered
             index, work = index.tolist(), np.empty(self.n)
             # D, E and full-length W of the mass matrix and every real shift
-            buffer = np.empty((3, 1 + sum(kind == "real" for kind, *_ in pf.terms), self.n - 1))
+            buffer = np.empty((3, 1 + np.count_nonzero(~pair), self.n - 1))
         else:
             a_parts, m_parts = (A,), (M,)
         self.apply_count = 0
@@ -292,20 +293,19 @@ class RationalOperator:
             return _BorderedTridiagonal(index, work, *pieces, buffer[2, row], label)
 
         tic = time.perf_counter()
-        self._mass_solver = definite(0, 0, 1.0, "mass matrix")
-        factor_seconds = [time.perf_counter() - tic]
-        solvers = [self._mass_solver]
-        # Each term is (kind, pole, weight, solver); the weight is the residue,
-        # negated where the solver factorizes p M - A instead of A - p M.
-        self._terms = []
+        # The mass matrix, then one solver per term; the weight of a term is
+        # its residue, negated where the solver factorizes p M - A.
+        self._solvers = [definite(0, 0, 1.0, "mass matrix")]
+        self._weights = residues.copy()
+        self.factor_seconds = [time.perf_counter() - tic]
         row = 0
-        for kind, pole, residue in pf.terms:
+        for k, pole in enumerate(poles):
             tic = time.perf_counter()
-            label = f"pole {pole:.6e}"
-            weight = residue
-            if kind == "pair":
-                solver = _sparse_lu(A.astype(complex) - pole * M, label)
+            if pair[k]:
+                solver = _sparse_lu(A.astype(complex) - pole * M, f"pole {pole:.6e}")
             else:
+                pole = pole.real
+                label = f"pole {pole:.6e}"
                 row += 1
                 try:
                     solver = definite(row, 1, -pole, label)
@@ -313,18 +313,15 @@ class RationalOperator:
                     if pole <= 0:
                         raise
                     try:
-                        solver, weight = definite(row, -1, pole, label), -residue
+                        solver = definite(row, -1, pole, label)
                     except FactorizationError:
                         raise FactorizationError(
                             f"{below}, nor is its negation: {label} lies on the spectrum"
                         ) from below
-            self._terms.append((kind, pole, weight, solver))
-            factor_seconds.append(time.perf_counter() - tic)
-            solvers.append(solver)
-        self.factor_seconds = factor_seconds
-        self.factor_nnz = [int(s.nnz) for s in solvers]
-        self.shift_solvers = [getattr(s, "kind", "lu") for s in solvers]
-        self.shift_seconds = np.zeros(len(self._terms) + 1)
+                    self._weights[k] = -self._weights[k]
+            self.factor_seconds.append(time.perf_counter() - tic)
+            self._solvers.append(solver)
+        self.shift_seconds = np.zeros(len(self._solvers))
 
     @property
     def n(self):
@@ -334,7 +331,7 @@ class RationalOperator:
     def solves_per_apply(self):
         """Mass solve, a second one for a linear term, and one solve per real
         pole or conjugate pair."""
-        return 1 + int(self.pf.c1 != 0.0) + len(self._terms)
+        return int(self.pf.c1 != 0.0) + len(self._solvers)
 
     def apply(self, r):
         """z = c0 M^{-1} r + c1 M^{-1} A M^{-1} r + sum_i c_i (A - p_i M)^{-1} r.
@@ -348,20 +345,21 @@ class RationalOperator:
         tic = time.perf_counter()
         c0, c1 = self.pf.c0, self.pf.c1
         if c0 != 0.0 or c1 != 0.0:
-            y = self._mass_solver.solve(r)
+            y = self._solvers[0].solve(r)
             z = c0 * y
             if c1 != 0.0:
-                z += c1 * self._mass_solver.solve(self.pencil.A @ y)
+                z += c1 * self._solvers[0].solve(self.pencil.A @ y)
         else:
             z = np.zeros_like(r)
         self.shift_seconds[0] += time.perf_counter() - tic
-        for k, (kind, _pole, weight, solver) in enumerate(self._terms):
+        pair = self.pf.terms[2]
+        for k, (solver, weight) in enumerate(zip(self._solvers[1:], self._weights)):
             tic = time.perf_counter()
-            if kind == "real":
-                x = solver.solve(r)
-                x *= weight
-            else:
+            if pair[k]:
                 x = 2.0 * np.real(weight * solver.solve(r.astype(complex)))
+            else:
+                x = solver.solve(r)
+                x *= weight.real
             z += x
             self.shift_seconds[k + 1] += time.perf_counter() - tic
         self.apply_count += 1
@@ -378,8 +376,8 @@ class RationalOperator:
             "solves_per_apply": self.solves_per_apply,
             "shift_seconds": self.shift_seconds.tolist(),
             "factor_seconds": list(self.factor_seconds),
-            "factor_nnz": list(self.factor_nnz),
-            "shift_solvers": list(self.shift_solvers),
+            "factor_nnz": [int(s.nnz) for s in self._solvers],
+            "shift_solvers": [getattr(s, "kind", "lu") for s in self._solvers],
         }
 
 

@@ -654,6 +654,35 @@ def test_audit_counts_sum_to_degree():
         assert pf.pole_audit.total == pf.degree
 
 
+def test_terms_of_a_scrambled_mixed_form():
+    # Negative, zero and positive real poles (-3 and 3 tie in |pole|) and two
+    # conjugate pairs, given out of order with each pair's poles apart: the
+    # terms are the real poles and each upper pole in ascending |pole| order,
+    # then Re p, with their residues and the pair mask, and the audit counts
+    # what the imag == 0 split of all the poles counts.
+    q1, a1, q2, a2 = -2.0 + 1.5j, 0.3 - 0.1j, 1.0 + 4.0j, -0.2 + 0.4j
+    poles = np.array([7.0, np.conj(q2), -0.5, q1, 3.0, -1e-12, q2, np.conj(q1), -3.0])
+    residues = np.array([1.5, np.conj(a2), 2.0, a1, -0.75, 0.25, a2, np.conj(a1), 0.6])
+    pf = PartialFraction(0.1, residues, poles, 1e-12)
+    p, c, pair = pf.terms
+    assert p.tolist() == [-1e-12, -0.5, q1, -3.0, 3.0, q2, 7.0]
+    assert c.tolist() == [0.25, 2.0, a1, 0.6, -0.75, a2, 1.5]
+    assert pair.tolist() == [False, False, True, False, False, True, False]
+    real = poles[poles.imag == 0.0].real
+    zero = np.abs(real) <= aaa_module.ZERO_POLE_ATOL
+    assert pf.pole_audit.as_dict() == {
+        "real_negative": int(np.count_nonzero(real[~zero] < 0)),
+        "real_zero": int(np.count_nonzero(zero)),
+        "real_positive": int(np.count_nonzero(real[~zero] > 0)),
+        "complex_pair": int(np.count_nonzero(poles.imag != 0.0)),
+    } == {"real_negative": 2, "real_zero": 1, "real_positive": 2, "complex_pair": 4}
+    x = np.linspace(0.1, 0.4, 7)
+    want = 0.1 + sum(r / (x - q) for r, q in zip(residues, poles)).real
+    assert np.allclose(eval_pf(pf, x), want, rtol=1e-13, atol=0.0)
+    # A NaN pole is not counted as positive, nor anywhere else.
+    assert PartialFraction(0.0, [1.0], [np.nan], 1e-12).pole_audit.total == 0
+
+
 def test_degenerate_rational_cases():
     # (s,t)=(1,1) equal weights: a single pole at zero with residue 1/(2a).
     pf = fit_fractional_sum(FractionalSumFunction(2.0, 2.0, 1, 1, 1.0), 1e-12)

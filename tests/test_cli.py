@@ -195,6 +195,20 @@ def test_sweep_complexity_csv(tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["poles", "--tol", "nan", "--exponents", "0,1", "--alphas", "1", "--betas", "1"],
+    ["robustness", "--tol-krylov", "nan", "--mus", "1", "--Ks", "1", "--meshes", "16"],
+    ["complexity", "--tols", "nan", "--meshes", "16"],
+], ids=["poles-tol", "robustness-tol-krylov", "complexity-tols"])
+def test_sweep_invalid_tolerance_exits_2_without_csv(tmp_path, capsys, args):
+    # The tolerances are checked before the grid, so no point is run and no
+    # row is written.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *args, "--out", str(out)]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pencil_export(tmp_path, capsys):
     prefix = tmp_path / "mesh"
     code = main(["pencil", "--kind", "interface", "--cells", "16",
