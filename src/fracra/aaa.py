@@ -15,6 +15,7 @@ poles, solved by Householder QR.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -348,6 +349,9 @@ class PartialFraction:
     ``(p, c, pair)``: the real poles and the upper pole of each conjugate
     pair in ascending |pole| order, their residues, and the mask of the
     pairs; it and ``pole_audit`` are derived from the poles at construction.
+    So the form keeps read-only copies of ``poles``, ``residues`` and the
+    ``terms`` arrays, and reassigning ``poles`` or ``residues`` raises
+    AttributeError; :func:`dataclasses.replace` makes a new form instead.
     """
 
     c0: float
@@ -361,8 +365,8 @@ class PartialFraction:
     terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.residues = np.atleast_1d(np.asarray(self.residues, dtype=complex))
-        self.poles = np.atleast_1d(np.asarray(self.poles, dtype=complex))
+        self.residues = _read_only(np.array(self.residues, dtype=complex, ndmin=1))
+        self.poles = _read_only(np.array(self.poles, dtype=complex, ndmin=1))
         if self.residues.size != self.poles.size:
             raise ValueError("residues and poles must have equal length")
         self.c0 = float(self.c0)
@@ -381,8 +385,15 @@ class PartialFraction:
         idx = np.flatnonzero(self.poles.imag >= 0.0)
         idx = idx[_by_modulus(self.poles[idx])]
         p = self.poles[idx]
-        self.terms = (p, self.residues[idx], p.imag > 0.0)
+        self.terms = tuple(map(_read_only, (p, self.residues[idx], p.imag > 0.0)))
         self.pole_audit = _audit_poles(p, self.terms[2])
+
+    def __setattr__(self, name, value):
+        # terms and pole_audit are derived from the poles and residues.
+        if name in ("poles", "residues") and "terms" in self.__dict__:
+            raise AttributeError(
+                f"{name} of a PartialFraction is fixed; use dataclasses.replace")
+        super().__setattr__(name, value)
 
     @property
     def degree(self):
@@ -397,6 +408,11 @@ class PartialFraction:
 
     def __call__(self, x):
         return eval_pf(self, x)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def _symmetrize_conjugates(poles, residues):
@@ -696,11 +712,11 @@ def denormalize(pf, leading_weight):
         raise ValueError("leading_weight must be positive")
     return replace(pf, c0=pf.c0 / leading_weight,
                    residues=pf.residues / leading_weight,
-                   poles=pf.poles.copy(), c1=pf.c1 / leading_weight)
+                   c1=pf.c1 / leading_weight)
 
 
 def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=2000,
-                       floor_ratio=DEFAULT_FLOOR_RATIO):
+                       floor_ratio=DEFAULT_FLOOR_RATIO, fits=None):
     """Fit the reciprocal fractional-sum ``func`` on its interval.
 
     The function is pulled back to (0, 1], its dominant weight divided out,
@@ -709,17 +725,26 @@ def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=2000,
     window [floor_ratio * interval_upper, interval_upper], not on all of
     (0, interval_upper]: below the window it is unconstrained and may carry
     poles, positive ones included.
+
+    ``fits``, a dict the caller holds, reuses converted forms across calls:
+    it maps the SHA-256 digest of the normalized samples, with ``tolerance``
+    and ``max_degree``, to the normalized form before the rescalings.  A call
+    whose samples are already in it skips the fit and the conversion, and
+    one that fits adds its form; either way the rescalings give the caller a
+    new form, bitwise equal to a fresh fit's.
     """
     unit = to_unit_interval(func)
     norm = normalize(unit)
     xs, ys = sample_grid(norm.scaled, n_samples, floor_ratio)
-    form = aaa_fit(xs, ys, tolerance, max_degree)
-    pf = to_partial_fraction(form)
-    pf = denormalize(pf, norm.leading_weight)
+    fits = {} if fits is None else fits
+    key = (hashlib.sha256(xs.tobytes() + ys.tobytes()).digest(), tolerance, max_degree)
+    if key not in fits:
+        fits[key] = to_partial_fraction(aaa_fit(xs, ys, tolerance, max_degree))
+    pf = denormalize(fits[key], norm.leading_weight)
     return scale_to_interval(pf, func.interval_upper)
 
 
-def fit_for_pencil(alpha, beta, s, t, pencil, tolerance, floor_ratio=None):
+def fit_for_pencil(alpha, beta, s, t, pencil, tolerance, floor_ratio=None, fits=None):
     """Fit 1/(alpha*x**s + beta*x**t) over the pencil's spectral interval.
 
     The fit interval is (0, rho] with rho the pencil's stored upper bound on
@@ -728,11 +753,13 @@ def fit_for_pencil(alpha, beta, s, t, pencil, tolerance, floor_ratio=None):
     a possible eigenvalue below the smallest one (the generalized spectrum of
     an assembled pencil lies in [lambda_min, rho] and the fit only has to be
     accurate there), which keeps the pole count low on fine meshes.
+    ``fits`` is passed on to :func:`fit_fractional_sum`.
     """
     if floor_ratio is None:
         floor_ratio = min(DEFAULT_FLOOR_RATIO, 0.5 / pencil.rho_bound)
     func = FractionalSumFunction(alpha, beta, s, t, pencil.rho_bound)
-    return fit_fractional_sum(func, tolerance, MAX_DEGREE, PENCIL_SAMPLES, floor_ratio)
+    return fit_fractional_sum(func, tolerance, MAX_DEGREE, PENCIL_SAMPLES, floor_ratio,
+                              fits=fits)
 
 
 def partial_fraction_to_dict(pf):

@@ -90,6 +90,7 @@ class SweepRecord:
     min_rayleigh: float = None
     setup_seconds: float = None
     solve_seconds: float = None
+    fit_reused: bool = None
     failure: str = ""
 
     def fill_pf(self, pf):
@@ -111,12 +112,12 @@ _CSV_COLUMNS = {
     "poles": (
         "s", "t", "alpha", "beta", "gamma", "swapped", "tolerance", "n_poles",
         "achieved_error", "pf_error", "real_negative", "real_zero",
-        "real_positive", "complex_pair", "setup_seconds", "failure",
+        "real_positive", "complex_pair", "setup_seconds", "fit_reused", "failure",
     ),
     "robustness": (
         "mu", "K", "n_cells", "n_c", "tolerance", "tol_krylov", "n_poles",
         "iterations_minres", "iterations_pcg", "converged", "min_rayleigh",
-        "setup_seconds", "solve_seconds", "failure",
+        "setup_seconds", "solve_seconds", "fit_reused", "failure",
     ),
     "complexity": (
         "mu", "K", "n_cells", "n_c", "tolerance", "n_poles",
@@ -199,14 +200,14 @@ def _check_tolerances(*tolerances):
         raise ValueError(f"tolerances must be positive and finite: {tolerances}")
 
 
-def _fit_preconditioner(pencil, mu, K, tol_ra):
+def _fit_preconditioner(pencil, mu, K, tol_ra, fits=None):
     """Fit the reciprocal interface symbol and build its shifted-solve operator.
 
     Returns ``(pf, operator, fit_seconds)``; the time covers the fit and pole
-    extraction only.
+    extraction only.  ``fits`` is passed on to :func:`fit_for_pencil`.
     """
     tic = time.perf_counter()
-    pf = fit_for_pencil(1.0 / mu, K / mu, -0.5, 0.5, pencil, tol_ra)
+    pf = fit_for_pencil(1.0 / mu, K / mu, -0.5, 0.5, pencil, tol_ra, fits=fits)
     fit_seconds = time.perf_counter() - tic
     return pf, RationalOperator(pf, pencil), fit_seconds
 
@@ -236,12 +237,17 @@ def pole_sweep(tolerance=1e-12, exponents=EXPONENT_GRID, alphas=POLE_SWEEP_ALPHA
                betas=POLE_SWEEP_BETAS, max_degree=MAX_DEGREE):
     """Fit every (s, t, alpha, beta) grid point on (0, 1] and record the poles.
 
-    Each fit samples :func:`fit_fractional_sum`'s default grid.  A tolerance
-    that is not positive and finite raises ValueError before the grid;
-    per-point failures are recorded in the record instead of raised, so the
-    grid is always fully enumerated.
+    Each fit samples :func:`fit_fractional_sum`'s default grid.  Points
+    whose normalized samples coincide, as the mirrored rows (s, t, alpha,
+    beta) and (t, s, beta, alpha) do, share one fit through a ``fits`` dict
+    made for this call and dropped when it returns; ``fit_reused`` marks a
+    point that reused one, whose ``setup_seconds`` is the lookup and the
+    rescaling.  A tolerance that is not positive and finite raises ValueError
+    before the grid; per-point failures are recorded in the record instead
+    of raised, so the grid is always fully enumerated.
     """
     _check_tolerances(tolerance)
+    fits = {}
     records = []
     for s in exponents:
         for t in exponents:
@@ -254,9 +260,11 @@ def pole_sweep(tolerance=1e-12, exponents=EXPONENT_GRID, alphas=POLE_SWEEP_ALPHA
                         norm = normalize(func)
                         rec.gamma = norm.gamma
                         rec.swapped = norm.swapped
+                        size = len(fits)
                         tic = time.perf_counter()
-                        pf = fit_fractional_sum(func, tolerance, max_degree)
+                        pf = fit_fractional_sum(func, tolerance, max_degree, fits=fits)
                         rec.setup_seconds = time.perf_counter() - tic
+                        rec.fit_reused = len(fits) == size
                         rec.fill_pf(pf)
                     except Exception as exc:
                         rec.failure = f"{type(exc).__name__}: {exc}"
@@ -273,11 +281,17 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
     the same absolute tolerance in at most 500 iterations, and records
     iteration counts, pole counts, and a definiteness probe of the
     preconditioner over ``audit_trials`` (at least 1) random vector pairs.
-    ``solve_seconds`` is the minres solve's ``SolveReport.wall_time``.  The
-    tolerances are checked, and each mesh's pencil assembled, before the grid.
+    ``solve_seconds`` is the minres solve's ``SolveReport.wall_time``.  Points
+    whose normalized samples coincide (the fitted target divided by its
+    dominant weight often does not depend on mu) share one fit through a
+    ``fits`` dict made for this call and dropped when it returns;
+    ``fit_reused`` marks a point that reused one, whose ``setup_seconds`` is
+    the lookup and the rescaling.  The tolerances are checked, and each
+    mesh's pencil assembled, before the grid.
     """
     _check_tolerances(tolerance, tol_krylov)
     pencils = [assemble_interface(n_cells) for n_cells in mesh_grid]
+    fits = {}
     records = []
     for mu in mu_grid:
         for K in K_grid:
@@ -287,13 +301,16 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
                                   tolerance=tolerance, tol_krylov=tol_krylov)
                 try:
                     system = build_interface_system_dense(pencil, mu, K)
+                    size = len(fits)
                     pf, precond, setup = _fit_preconditioner(
-                        pencil, mu, K, tolerance)
+                        pencil, mu, K, tolerance, fits)
+                    reused = len(fits) == size
                     g = interface_rhs(pencil, seed)
                     _, rep_minres = minres(system, precond, g, tol=tol_krylov, stop="abs")
                     _, rep_pcg = pcg(system, precond, g, tol=tol_krylov, stop="abs")
                     rec.fill_pf(pf)
                     rec.setup_seconds = setup
+                    rec.fit_reused = reused
                     rec.solve_seconds = rep_minres.wall_time
                     rec.iterations_minres = rep_minres.iterations
                     rec.iterations_pcg = rep_pcg.iterations
@@ -313,7 +330,8 @@ def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
     plus O(n) shifted solves; ``setup_seconds`` covers the fit and pole extraction only and
     ``solve_seconds`` is the MinRes ``SolveReport.wall_time``, the full Krylov
     loop including preconditioner applies.  Each timing is the best of
-    ``repeats`` runs.  The tolerances are checked before the grid.
+    ``repeats`` runs, so every repeat runs its own fit: this study passes no
+    ``fits`` dict.  The tolerances are checked before the grid.
     """
     _check_tolerances(*tolerance_grid, tol_krylov)
     pencils = {n: assemble_interface(n) for n in mesh_grid}

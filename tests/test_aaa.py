@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -706,3 +707,88 @@ def test_linear_symbol_carries_linear_term():
             assert pf.degree == 0, (alpha, beta)
             assert pf.c1 == pytest.approx(1.0 / (alpha + beta), rel=1e-12)
             assert pf.validation_error <= 1e-12, (alpha, beta)
+
+
+def test_partial_fraction_poles_and_residues_cannot_go_stale():
+    # Reassigning the poles would leave terms and the audit at the old ones.
+    pf = PartialFraction(0.0, [1.0], [-1.0], 1e-12)
+    with pytest.raises(AttributeError, match="use dataclasses.replace"):
+        pf.poles = pf.poles * 2
+    with pytest.raises(AttributeError, match="use dataclasses.replace"):
+        pf.residues = pf.residues * 2
+    for array in (pf.poles, pf.residues, *pf.terms):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = -2.0
+    assert eval_pf(pf, 1.0) == 0.5
+    # The form copies its inputs, so the caller's arrays cannot reach it.
+    poles, residues = np.array([-1.0 + 0j]), np.array([1.0 + 0j])
+    pf = PartialFraction(0.0, residues, poles, 1e-12)
+    poles[0], residues[0] = 1.0, 3.0
+    assert eval_pf(pf, 1.0) == 0.5
+    assert pf.pole_audit.real_negative == 1
+    # replace builds a new form, derived from the new poles.
+    moved = replace(pf, poles=pf.poles * 2)
+    assert eval_pf(moved, 1.0) == 1.0 / 3.0
+    assert moved.terms[0].tolist() == [-2.0]
+    assert eval_pf(pf, 1.0) == 0.5
+
+
+def counted_fits(monkeypatch):
+    """Record the samples of every aaa_fit call through fracra.aaa."""
+    calls = []
+    real_fit = aaa_module.aaa_fit
+
+    def fit(x, y, tolerance, max_degree):
+        calls.append((x.tobytes() + y.tobytes(), tolerance, max_degree))
+        return real_fit(x, y, tolerance, max_degree)
+
+    monkeypatch.setattr(aaa_module, "aaa_fit", fit)
+    return calls
+
+
+def same_form(a, b):
+    return (a.c0 == b.c0 and a.c1 == b.c1 and a.fit_error == b.fit_error
+            and a.validation_error == b.validation_error
+            and np.array_equal(a.poles, b.poles)
+            and np.array_equal(a.residues, b.residues))
+
+
+def test_fits_dict_reuses_a_fit_of_the_same_normalized_samples(monkeypatch):
+    # Both functions normalize to 1/(x**-0.5 + 0.5 x**0.5) on (0, 1]: one fit,
+    # and each call's form is bitwise that of a fit without a dict.
+    f, g = (FractionalSumFunction(a, 0.5 * a, -0.5, 0.5, 1.0) for a in (2.0, 4.0))
+    fresh = [fit_fractional_sum(func, 1e-10) for func in (f, g)]
+    calls = counted_fits(monkeypatch)
+    fits = {}
+    forms = [fit_fractional_sum(func, 1e-10, fits=fits) for func in (f, g)]
+    assert len(calls) == 1 and len(fits) == 1
+    assert all(map(same_form, forms, fresh))
+    assert not same_form(forms[0], forms[1])
+
+
+def test_writing_into_a_reused_form_cannot_reach_the_dict_entry():
+    f = FractionalSumFunction(1.0, 1.0, -0.5, 0.5, 1.0)
+    fits = {}
+    first = fit_fractional_sum(f, 1e-10, fits=fits)
+    hit = fit_fractional_sum(f, 1e-10, fits=fits)
+    (entry,) = fits.values()
+    for array in (hit.poles, hit.residues, *hit.terms):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+        assert not any(np.shares_memory(array, e)
+                       for e in (entry.poles, entry.residues, *entry.terms))
+    # Even with the flag lifted, a write stays in the caller's form.
+    hit.poles.flags.writeable = True
+    hit.poles[:] = 0.0
+    assert same_form(fit_fractional_sum(f, 1e-10, fits=fits), first)
+
+
+def test_fits_dict_fits_again_at_another_tolerance_or_degree(monkeypatch):
+    f = FractionalSumFunction(1.0, 1e-2, -0.5, 0.5, 1.0)
+    calls = counted_fits(monkeypatch)
+    fits = {}
+    for tol, degree in ((1e-10, 30), (1e-8, 30), (1e-10, 12), (1e-10, 30), (1e-8, 30)):
+        fit_fractional_sum(f, tol, degree, fits=fits)
+    assert [c[1:] for c in calls] == [(1e-10, 30), (1e-8, 30), (1e-10, 12)]
+    assert len({c[0] for c in calls}) == 1
+    assert len(fits) == 3

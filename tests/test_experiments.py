@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import fracra.aaa as aaa
 import fracra.experiments as experiments
 from fracra.experiments import (
     ROBUSTNESS_KS,
@@ -226,6 +228,9 @@ def test_csv_and_summary_round_trip(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[0][:4] == ["s", "t", "alpha", "beta"]
     assert len(rows) == len(records) + 1
+    # (1, 0, 1, 1) mirrors (0, 1, 1, 1) and reuses its fit.
+    reused = rows[0].index("fit_reused")
+    assert [row[reused] for row in rows[1:]] == ["false", "false", "true", "false"]
 
     summary_path = tmp_path / "summary.json"
     payload = write_sweep_summary(records, summary_path, grids={"exponents": [0.0, 1.0]},
@@ -276,3 +281,118 @@ def test_csv_writer_validates(tmp_path):
     b = complexity_study(mesh_grid=(32,), tolerance_grid=(1e-6,), repeats=1)
     with pytest.raises(ValueError):
         write_sweep_csv(a + b, tmp_path / "x.csv")
+
+
+def fit_layer(monkeypatch):
+    """Record the normalized samples of every fit a sweep point asks for, and
+    of every aaa_fit call that runs."""
+    seen = {"points": [], "fits": []}
+    real_grid, real_fit = aaa.sample_grid, aaa.aaa_fit
+
+    def grid(*args):
+        xs, ys = real_grid(*args)
+        seen["points"].append(xs.tobytes() + ys.tobytes())
+        return xs, ys
+
+    def fit(x, y, tolerance, max_degree):
+        seen["fits"].append(x.tobytes() + y.tobytes())
+        return real_fit(x, y, tolerance, max_degree)
+
+    monkeypatch.setattr(aaa, "sample_grid", grid)
+    monkeypatch.setattr(aaa, "aaa_fit", fit)
+    return seen
+
+
+def forms_of(monkeypatch, name):
+    """The forms returned by experiments.<name>, in call order."""
+    forms = []
+    real = getattr(experiments, name)
+
+    def fit(*args, **kwargs):
+        forms.append(real(*args, **kwargs))
+        return forms[-1]
+
+    monkeypatch.setattr(experiments, name, fit)
+    return forms
+
+
+def without_timings(rec):
+    fields = dataclasses.asdict(rec)
+    for name in ("setup_seconds", "solve_seconds", "fit_reused"):
+        del fields[name]
+    return fields
+
+
+def fit_fields(rec):
+    """The record fields of a pole_sweep point that its fit decides."""
+    fields = without_timings(rec)
+    for name in ("s", "t", "alpha", "beta", "swapped"):
+        del fields[name]
+    return fields
+
+
+def same_form(a, b):
+    return (a.c0 == b.c0 and a.c1 == b.c1 and a.fit_error == b.fit_error
+            and a.validation_error == b.validation_error
+            and np.array_equal(a.poles, b.poles)
+            and np.array_equal(a.residues, b.residues))
+
+
+def test_robustness_sweep_fits_each_sample_set_once(monkeypatch):
+    # Divided by its dominant weight 1/mu, the target 1/(x**-0.5 + K x**0.5)
+    # samples alike for most mu: points share fits, and every record and form
+    # is that of a one-point sweep of the same point.
+    mus, meshes = (1e-6, 1e-2, 1.0, 1e2), (64, 128)
+    seen = fit_layer(monkeypatch)
+    forms = forms_of(monkeypatch, "fit_for_pencil")
+    records = robustness_sweep(mu_grid=mus, K_grid=(1e-2,), mesh_grid=meshes)
+    assert len(forms) == len(records) == 8
+    assert seen["fits"] == list(dict.fromkeys(seen["points"]))
+    assert len(seen["fits"]) < len(records)
+    assert [r.fit_reused for r in records] == [
+        sample in seen["points"][:i] for i, sample in enumerate(seen["points"])]
+    for rec, form in zip(records, list(forms)):
+        forms.clear()
+        (alone,) = robustness_sweep(mu_grid=(rec.mu,), K_grid=(rec.K,),
+                                    mesh_grid=(rec.n_cells,))
+        assert without_timings(alone) == without_timings(rec)
+        assert same_form(forms[0], form)
+        assert alone.fit_reused is False
+
+
+def test_pole_sweep_fits_mirrored_rows_once(monkeypatch):
+    # (s, t, alpha, beta) and (t, s, beta, alpha) are one function.
+    seen = fit_layer(monkeypatch)
+    forms = forms_of(monkeypatch, "fit_fractional_sum")
+    records = pole_sweep(tolerance=1e-10, exponents=(-0.5, 0.5),
+                         alphas=(1.0, 1e-2), betas=(1.0, 1e-2))
+    assert seen["fits"] == list(dict.fromkeys(seen["points"]))
+    by_point = {(r.s, r.t, r.alpha, r.beta): (i, r) for i, r in enumerate(records)}
+    mirrored = 0
+    for (s, t, alpha, beta), (i, rec) in by_point.items():
+        j, mirror = by_point[(t, s, beta, alpha)]
+        if s != t and i < j:
+            mirrored += 1
+            assert mirror.fit_reused and seen["points"][i] == seen["points"][j]
+            assert np.array_equal(forms[i].poles, forms[j].poles)
+            assert np.array_equal(forms[i].residues, forms[j].residues)
+            assert not np.shares_memory(forms[i].poles, forms[j].poles)
+            assert fit_fields(rec) == fit_fields(mirror)
+    assert mirrored == 4
+
+
+def test_consecutive_sweeps_fit_on_their_own(monkeypatch):
+    seen = fit_layer(monkeypatch)
+    for expected in (1, 2):
+        (rec,) = pole_sweep(tolerance=1e-10, exponents=(0.5,), alphas=(1.0,), betas=(1.0,))
+        assert len(seen["fits"]) == expected and rec.fit_reused is False
+    for expected in (3, 4):
+        (rec,) = robustness_sweep(mu_grid=(1.0,), K_grid=(1.0,), mesh_grid=(32,))
+        assert len(seen["fits"]) == expected and rec.fit_reused is False
+
+
+def test_complexity_study_fits_every_repeat(monkeypatch):
+    seen = fit_layer(monkeypatch)
+    records = complexity_study(mesh_grid=(32, 64), tolerance_grid=(1e-8,), repeats=3)
+    assert len(seen["fits"]) == len(seen["points"]) == 6
+    assert all(r.fit_reused is None for r in records)
