@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -146,8 +147,18 @@ def cmd_pencil(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts with a minus sign and a digit, such as
+    the comma list -0.5,0.5 or the number -1e-3, as a value, not an option.
+    Subparsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracra",
         description="Rational approximation preconditioners for weighted sums "
                     "of fractional powers.",

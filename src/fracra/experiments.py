@@ -16,7 +16,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,8 +116,9 @@ _CSV_COLUMNS = {
     ),
     "robustness": (
         "mu", "K", "n_cells", "n_c", "tolerance", "tol_krylov", "n_poles",
-        "iterations_minres", "iterations_pcg", "converged", "min_rayleigh",
-        "setup_seconds", "solve_seconds", "fit_reused", "failure",
+        "achieved_error", "pf_error", "iterations_minres", "iterations_pcg",
+        "converged", "min_rayleigh", "setup_seconds", "solve_seconds",
+        "fit_reused", "failure",
     ),
     "complexity": (
         "mu", "K", "n_cells", "n_c", "tolerance", "n_poles",
@@ -201,15 +202,18 @@ def _check_tolerances(*tolerances):
 
 
 def _fit_preconditioner(pencil, mu, K, tol_ra, fits=None):
-    """Fit the reciprocal interface symbol and build its shifted-solve operator.
+    """Fit the reciprocal interface symbol mu / (x^-1/2 + K x^1/2).
 
-    Returns ``(pf, operator, fit_seconds)``; the time covers the fit and pole
-    extraction only.  ``fits`` is passed on to :func:`fit_for_pencil`.
+    Viscosity is an exact scale of the symbol, so the mu = 1 target is
+    fitted and c0, c1 and the residues are multiplied by mu: every mu on one
+    (K, pencil) gets the poles of one fit.  Returns ``(pf, fit_seconds)``;
+    the time covers the fit, pole extraction and the scaling.  ``fits`` is
+    passed on to :func:`fit_for_pencil`.
     """
     tic = time.perf_counter()
-    pf = fit_for_pencil(1.0 / mu, K / mu, -0.5, 0.5, pencil, tol_ra, fits=fits)
-    fit_seconds = time.perf_counter() - tic
-    return pf, RationalOperator(pf, pencil), fit_seconds
+    pf = fit_for_pencil(1.0, K, -0.5, 0.5, pencil, tol_ra, fits=fits)
+    pf = replace(pf, c0=mu * pf.c0, c1=mu * pf.c1, residues=mu * pf.residues)
+    return pf, time.perf_counter() - tic
 
 
 def solve_interface(pencil, mu, K, tol_ra, tol_krylov=1e-10, method="minres", seed=0):
@@ -219,14 +223,15 @@ def solve_interface(pencil, mu, K, tol_ra, tol_krylov=1e-10, method="minres", se
     The Krylov solve stops after at most 500 iterations.  The solver
     arguments are checked before the fit.  Returns
     ``(solution, SolveReport, PartialFraction, setup_seconds)`` where
-    ``setup_seconds`` covers the fit and pole extraction only (factorizations
-    excluded).
+    ``setup_seconds`` covers the fit of the mu = 1 target, pole extraction
+    and the scaling by mu only (factorizations excluded).
     """
     if method not in ("minres", "pcg"):
         raise ValueError(f"unknown method {method!r}")
     _check_tolerances(tol_krylov)
     system = FourierInterfaceSystem(pencil, mu, K)
-    pf, precond, setup_seconds = _fit_preconditioner(pencil, mu, K, tol_ra)
+    pf, setup_seconds = _fit_preconditioner(pencil, mu, K, tol_ra)
+    precond = RationalOperator(pf, pencil)
     g = interface_rhs(pencil, seed)
     solver = minres if method == "minres" else pcg
     solution, report = solver(system, precond, g, tol=tol_krylov, stop="abs")
@@ -281,30 +286,39 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
     the same absolute tolerance in at most 500 iterations, and records
     iteration counts, pole counts, and a definiteness probe of the
     preconditioner over ``audit_trials`` (at least 1) random vector pairs.
-    ``solve_seconds`` is the minres solve's ``SolveReport.wall_time``.  Points
-    whose normalized samples coincide (the fitted target divided by its
-    dominant weight often does not depend on mu) share one fit through a
-    ``fits`` dict made for this call and dropped when it returns;
-    ``fit_reused`` marks a point that reused one, whose ``setup_seconds`` is
-    the lookup and the rescaling.  The tolerances are checked, and each
-    mesh's pencil assembled, before the grid.
+    ``solve_seconds`` is the minres solve's ``SolveReport.wall_time``.
+
+    mu is an exact scale of the preconditioner, so every point fits the
+    mu = 1 target of its (K, mesh) and scales it by mu.  The points of one
+    (K, mesh) share one fit through a ``fits`` dict, and one set of
+    factorized shifts through a dict of operators keyed by (K, mesh): the
+    first point factorizes, and every later one takes
+    :meth:`RationalOperator.reweighted`, which applies bitwise as a fresh
+    build would.  Both dicts are made for this call and dropped when it
+    returns.  ``fit_reused`` marks a point that reused a fit, whose
+    ``setup_seconds`` is the lookup and the rescalings.  The tolerances are
+    checked, and each mesh's pencil assembled, before the grid.
     """
     _check_tolerances(tolerance, tol_krylov)
-    pencils = [assemble_interface(n_cells) for n_cells in mesh_grid]
-    fits = {}
+    pencils = {n_cells: assemble_interface(n_cells) for n_cells in mesh_grid}
+    fits, shifts = {}, {}
     records = []
     for mu in mu_grid:
         for K in K_grid:
-            for n_cells, pencil in zip(mesh_grid, pencils):
+            for n_cells in mesh_grid:
+                pencil = pencils[n_cells]
                 rec = SweepRecord(kind="robustness", mu=mu, K=K,
                                   n_cells=n_cells, n_c=pencil.n_c,
                                   tolerance=tolerance, tol_krylov=tol_krylov)
                 try:
                     system = build_interface_system_dense(pencil, mu, K)
                     size = len(fits)
-                    pf, precond, setup = _fit_preconditioner(
-                        pencil, mu, K, tolerance, fits)
+                    pf, setup = _fit_preconditioner(pencil, mu, K, tolerance, fits)
                     reused = len(fits) == size
+                    if (K, n_cells) in shifts:
+                        precond = shifts[K, n_cells].reweighted(pf, pencil)
+                    else:
+                        precond = shifts[K, n_cells] = RationalOperator(pf, pencil)
                     g = interface_rhs(pencil, seed)
                     _, rep_minres = minres(system, precond, g, tol=tol_krylov, stop="abs")
                     _, rep_pcg = pcg(system, precond, g, tol=tol_krylov, stop="abs")

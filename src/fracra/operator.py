@@ -43,6 +43,7 @@ partial pivoting on either path.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
@@ -254,6 +255,11 @@ class RationalOperator:
     applies bitwise reproducible.  A built operator is immutable apart from
     its telemetry counters, so concurrent applies are safe when the telemetry
     is not needed.
+
+    The factorizations depend only on the pencil and the poles, the weights
+    only on the residues: :meth:`reweighted` gives the operator of another
+    form with the same poles on the same pencil, sharing the solvers, so a
+    caller that holds one operator per pole set factorizes each shift once.
     """
 
     def __init__(self, pf, pencil):
@@ -296,7 +302,7 @@ class RationalOperator:
         # The mass matrix, then one solver per term; the weight of a term is
         # its residue, negated where the solver factorizes p M - A.
         self._solvers = [definite(0, 0, 1.0, "mass matrix")]
-        self._weights = residues.copy()
+        self._negated = np.zeros(poles.size, dtype=bool)
         self.factor_seconds = [time.perf_counter() - tic]
         row = 0
         for k, pole in enumerate(poles):
@@ -318,10 +324,36 @@ class RationalOperator:
                         raise FactorizationError(
                             f"{below}, nor is its negation: {label} lies on the spectrum"
                         ) from below
-                    self._weights[k] = -self._weights[k]
+                    self._negated[k] = True
             self.factor_seconds.append(time.perf_counter() - tic)
             self._solvers.append(solver)
+        self._weights = np.where(self._negated, -residues, residues)
         self.shift_seconds = np.zeros(len(self._solvers))
+
+    def reweighted(self, pf, pencil):
+        """The operator of ``pf`` on ``pencil``, built from this operator's
+        factorizations without refactorizing.
+
+        ``pencil`` must be this operator's pencil (the same object) and the
+        poles of ``pf.terms`` bitwise equal to this operator's, and so their
+        pair mask, else ValueError; only c0, c1 and the residues may differ.
+        The new operator negates the residues of the poles factorized as
+        p M - A here, so it applies bitwise as ``RationalOperator(pf, pencil)``
+        would.  It shares the solvers and their factorization record
+        (``factor_seconds``) and starts its own apply counters.
+        """
+        poles, residues, _ = pf.terms
+        if pencil is not self.pencil:
+            raise ValueError("a reweighted operator needs the pencil it was factorized on")
+        # The pair mask is derived from the poles, so it is equal with them.
+        if poles.tobytes() != self.pf.terms[0].tobytes():
+            raise ValueError("a reweighted form must have the poles of the factorized one")
+        op = copy.copy(self)
+        op.pf = pf
+        op._weights = np.where(self._negated, -residues, residues)
+        op.apply_count = 0
+        op.shift_seconds = np.zeros(len(self._solvers))
+        return op
 
     @property
     def n(self):

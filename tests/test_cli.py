@@ -157,6 +157,20 @@ def test_sweep_poles_csv(tmp_path, capsys):
     assert json.loads((tmp_path / "s.json").read_text())["kind"] == "poles"
 
 
+def test_sweep_list_starting_with_a_negative_value(tmp_path):
+    # A comma list whose first value is negative is a value, not an option,
+    # with or without "=".
+    for exponents in (["--exponents", "-0.5,0.5"], ["--exponents=-0.5,0.5"]):
+        out = tmp_path / "poles.csv"
+        code = main(["sweep", "poles", "--tol", "1e-10", *exponents,
+                     "--alphas", "1", "--betas", "1", "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["s"], r["t"]) for r in rows] == [
+            ("-0.5", "-0.5"), ("-0.5", "0.5"), ("0.5", "-0.5"), ("0.5", "0.5")]
+
+
 def test_sweep_robustness_csv(tmp_path, capsys):
     out = tmp_path / "rob.csv"
     code = main(["sweep", "robustness", "--mus", "1", "--Ks", "1e-6",

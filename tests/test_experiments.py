@@ -304,7 +304,7 @@ def fit_layer(monkeypatch):
 
 
 def forms_of(monkeypatch, name):
-    """The forms returned by experiments.<name>, in call order."""
+    """The values returned by experiments.<name>, in call order."""
     forms = []
     real = getattr(experiments, name)
 
@@ -339,18 +339,20 @@ def same_form(a, b):
 
 
 def test_robustness_sweep_fits_each_sample_set_once(monkeypatch):
-    # Divided by its dominant weight 1/mu, the target 1/(x**-0.5 + K x**0.5)
-    # samples alike for most mu: points share fits, and every record and form
-    # is that of a one-point sweep of the same point.
-    mus, meshes = (1e-6, 1e-2, 1.0, 1e2), (64, 128)
+    # mu scales the target exactly, so every point fits the mu = 1 target of
+    # its (K, mesh): one fit and one factorized shift set per (K, mesh), and
+    # every record and form is that of a one-point sweep of the same point.
+    mus, Ks, meshes = (1e-6, 1e-2, 1.0, 1e2), (1e-2, 1.0), (64, 128)
     seen = fit_layer(monkeypatch)
     forms = forms_of(monkeypatch, "fit_for_pencil")
-    records = robustness_sweep(mu_grid=mus, K_grid=(1e-2,), mesh_grid=meshes)
-    assert len(forms) == len(records) == 8
+    builds = forms_of(monkeypatch, "RationalOperator")
+    records = robustness_sweep(mu_grid=mus, K_grid=Ks, mesh_grid=meshes)
+    assert len(forms) == len(records) == 16
     assert seen["fits"] == list(dict.fromkeys(seen["points"]))
-    assert len(seen["fits"]) < len(records)
+    assert len(seen["fits"]) == len(builds) == len(Ks) * len(meshes)
     assert [r.fit_reused for r in records] == [
         sample in seen["points"][:i] for i, sample in enumerate(seen["points"])]
+    assert [r.fit_reused for r in records] == [r.mu != mus[0] for r in records]
     for rec, form in zip(records, list(forms)):
         forms.clear()
         (alone,) = robustness_sweep(mu_grid=(rec.mu,), K_grid=(rec.K,),
@@ -358,6 +360,22 @@ def test_robustness_sweep_fits_each_sample_set_once(monkeypatch):
         assert without_timings(alone) == without_timings(rec)
         assert same_form(forms[0], form)
         assert alone.fit_reused is False
+
+
+def test_interface_form_is_the_unit_viscosity_form_scaled():
+    # 1/((1/mu) x^-1/2 + (K/mu) x^1/2) = mu / (x^-1/2 + K x^1/2): the poles are
+    # those of the mu = 1 fit, bitwise, and c0, c1 and the residues mu times its.
+    pencil, K = assemble_interface(64), 1e-2
+    unit = aaa.fit_for_pencil(1.0, K, -0.5, 0.5, pencil, 1e-12)
+    x = np.geomspace(1.0, pencil.rho_bound, 50)
+    for mu in (1e-6, 3.7e-2, 1.0, 1e2):
+        _, _, pf, _ = solve_interface(pencil, mu, K, tol_ra=1e-12)
+        assert pf.poles.tobytes() == unit.poles.tobytes()
+        assert (pf.c0, pf.c1) == (mu * unit.c0, mu * unit.c1)
+        assert pf.residues.tobytes() == (mu * unit.residues).tobytes()
+        assert (pf.fit_error, pf.validation_error) == (unit.fit_error, unit.validation_error)
+        target = 1.0 / (x**-0.5 / mu + K / mu * x**0.5)
+        assert np.max(np.abs(pf(x) / target - 1.0)) < 1e-10
 
 
 def test_pole_sweep_fits_mirrored_rows_once(monkeypatch):

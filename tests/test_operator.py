@@ -271,6 +271,64 @@ def test_term_order_does_not_depend_on_input_order():
     assert telemetry[0]["factor_nnz"] == telemetry[1]["factor_nnz"]
 
 
+def _ring_form(pencil, scale):
+    # A pole above rho_bound is factorized as p M - A with its residue negated.
+    c, p = 0.5 + 0.25j, -3.0 + 2.0j
+    return PartialFraction(0.2 * scale, np.array([0.7, c, np.conj(c), 1.9, -2.3]) * scale,
+                           [-1.0, p, np.conj(p), -40.0, 3.0 * pencil.rho_bound], 1e-12,
+                           c1=1e-3 * scale)
+
+
+def _square_form(pencil, scale):
+    # Sparse LU: a positive pole below the spectrum and a complex pair.
+    c, p = 0.5 + 0.25j, -2.0 + 1.0j
+    return PartialFraction(0.1 * scale, np.array([1.0, c, np.conj(c)]) * scale,
+                           [0.5, p, np.conj(p)], 1e-12, c1=2e-3 * scale)
+
+
+@pytest.mark.parametrize("make,form,solvers,negated", [
+    (lambda: assemble_interface(64), _ring_form,
+     ["tridiagonal", "tridiagonal", "lu", "tridiagonal", "tridiagonal"],
+     [False, False, False, True]),
+    (lambda: assemble_unit_square(6), _square_form, ["lu", "lu", "lu"], [False, False]),
+], ids=["ring-pM-A", "square-lu-pair"])
+def test_reweighted_operator_applies_as_a_fresh_build(make, form, solvers, negated):
+    # Same poles on the same pencil: the reweighted operator shares every
+    # solver and applies bitwise as a fresh build of the new form.
+    pencil = make()
+    op = RationalOperator(form(pencil, 1.0), pencil)
+    pf = form(pencil, -7.3e-3)
+    reweighted = op.reweighted(pf, pencil)
+    fresh = RationalOperator(pf, pencil)
+    assert fresh.telemetry["shift_solvers"] == solvers
+    assert np.array_equal(fresh._weights, np.where(negated, -1, 1) * pf.terms[1])
+    assert all(a is b for a, b in zip(reweighted._solvers, op._solvers))
+    assert np.array_equal(reweighted._weights, fresh._weights)
+    r = np.random.default_rng(9).standard_normal(pencil.n_c)
+    assert np.array_equal(reweighted.apply(r), fresh.apply(r))
+    assert (reweighted.apply_count, op.apply_count) == (1, 0)
+    assert reweighted.pf is pf and op.pf is not pf
+
+
+def test_reweighted_operator_needs_its_poles_and_pencil():
+    pencil = assemble_interface(64)
+    op = RationalOperator(_ring_form(pencil, 1.0), pencil)
+    c, p = 0.5 + 0.25j, -3.0 + 2.0j
+    rho = pencil.rho_bound
+    others = [
+        PartialFraction(0.2, [0.7, c, np.conj(c), 1.9, -2.3],
+                        [-1.0, p, np.conj(p), -40.0 * (1 + 2**-52), 3.0 * rho], 1e-12),
+        PartialFraction(0.2, [0.7, c, np.conj(c), 1.9], [-1.0, p, np.conj(p), -40.0], 1e-12),
+        # a real pole in place of the pair
+        PartialFraction(0.2, [0.7, 0.5, 1.9, -2.3], [-1.0, -3.0, -40.0, 3.0 * rho], 1e-12),
+    ]
+    for pf in others:
+        with pytest.raises(ValueError, match="poles"):
+            op.reweighted(pf, pencil)
+    with pytest.raises(ValueError, match="pencil"):
+        op.reweighted(_ring_form(pencil, 2.0), assemble_interface(64))
+
+
 def test_apply_count_telemetry():
     pencil = assemble_interface(32)
     pf = PartialFraction(1.0, [1.0], [-1.0], 1e-12)
