@@ -72,6 +72,8 @@ STOP_SAFETY = 0.5
 FOLD_RATIO = 1e3
 # Default cap on the support additions of a fit beyond the first.
 MAX_DEGREE = 30
+# Default grid samples of a scalar fit, on the window of its floor ratio.
+FIT_SAMPLES = 750
 # Grid samples of a pencil fit.
 PENCIL_SAMPLES = 1000
 
@@ -341,8 +343,11 @@ class PartialFraction:
     absolute deviation target the fit was run at and ``fit_error`` the
     deviation it achieved on the fit grid; both refer to the normalized
     unit-interval fit and are left untouched by rescaling.
-    ``validation_error`` is the deviation of this converted form against the
-    samples it was derived from (None when unknown).  ``converged`` is
+    ``validation_error`` is the largest deviation of this converted form from
+    the normalized target where it was validated (None when unknown):
+    :func:`to_partial_fraction` validates on the fit grid, and
+    :func:`fit_fractional_sum` also at the geometric midpoints between the
+    grid points.  ``converged`` is
     derived, the verdict ``max(fit_error, validation_error) <= tolerance``
     (``fit_error`` alone when ``validation_error`` is unknown, None when
     ``fit_error`` is), and so survives rescaling.  ``terms`` is the arrays
@@ -563,7 +568,8 @@ def to_partial_fraction(form):
     converted form consistent with the interpolant to machine level.
     A pole whose residue is not finite, as one exactly on a support node, is
     dropped with a RuntimeWarning.  Spurious poles with negligible residues
-    are dropped and the form is validated against the grid samples.
+    are dropped and the form is validated on the grid points only: its
+    ``validation_error`` is the largest deviation from the grid samples.
 
     An interpolant whose denominator has lost a degree (weights summing to
     zero) has a pole at infinity, which the eigensolve returns as a huge or
@@ -715,23 +721,30 @@ def denormalize(pf, leading_weight):
                    c1=pf.c1 / leading_weight)
 
 
-def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=2000,
+def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=FIT_SAMPLES,
                        floor_ratio=DEFAULT_FLOOR_RATIO, fits=None):
     """Fit the reciprocal fractional-sum ``func`` on its interval.
 
     The function is pulled back to (0, 1], its dominant weight divided out,
-    fitted on a logarithmic grid, converted to pole/residue form, and the two
-    rescalings undone.  The returned form approximates ``func`` on the sampled
-    window [floor_ratio * interval_upper, interval_upper], not on all of
-    (0, interval_upper]: below the window it is unconstrained and may carry
-    poles, positive ones included.
+    fitted on a logarithmic grid of ``n_samples`` points, converted to
+    pole/residue form, and the two rescalings undone.  The returned form
+    approximates ``func`` on the sampled window [floor_ratio *
+    interval_upper, interval_upper], not on all of (0, interval_upper]:
+    below the window it is unconstrained and may carry poles, positive ones
+    included.
+
+    The converted normalized form is validated on the grid and at the
+    geometric midpoints ``sqrt(x[:-1] * x[1:])`` between its points, against
+    the normalized target; ``validation_error`` is the larger of the two
+    deviations, so ``converged`` also judges the form between its samples.
 
     ``fits``, a dict the caller holds, reuses converted forms across calls:
     it maps the SHA-256 digest of the normalized samples, with ``tolerance``
-    and ``max_degree``, to the normalized form before the rescalings.  A call
-    whose samples are already in it skips the fit and the conversion, and
-    one that fits adds its form; either way the rescalings give the caller a
-    new form, bitwise equal to a fresh fit's.
+    and ``max_degree``, to the validated normalized form before the
+    rescalings.  A call whose samples are already in it skips the fit, the
+    conversion and the midpoint check, and one that fits adds its form;
+    either way the rescalings give the caller a new form, bitwise equal to a
+    fresh fit's.
     """
     unit = to_unit_interval(func)
     norm = normalize(unit)
@@ -739,9 +752,17 @@ def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=2000,
     fits = {} if fits is None else fits
     key = (hashlib.sha256(xs.tobytes() + ys.tobytes()).digest(), tolerance, max_degree)
     if key not in fits:
-        fits[key] = to_partial_fraction(aaa_fit(xs, ys, tolerance, max_degree))
-    pf = denormalize(fits[key], norm.leading_weight)
-    return scale_to_interval(pf, func.interval_upper)
+        pf = to_partial_fraction(aaa_fit(xs, ys, tolerance, max_degree))
+        mid = np.sqrt(xs[:-1] * xs[1:])
+        between = np.max(np.abs(eval_pf(pf, mid) - evaluate(norm.scaled, mid)))
+        # np.maximum keeps a NaN deviation, which max() could drop.
+        pf.validation_error = float(np.maximum(pf.validation_error, between))
+        fits[key] = pf
+    # One form for both rescalings, each value in the order denormalize and
+    # then scale_to_interval compute it.
+    pf, weight, rho = fits[key], norm.leading_weight, func.interval_upper
+    return replace(pf, c0=pf.c0 / weight, residues=pf.residues / weight * rho,
+                   poles=pf.poles * rho, c1=pf.c1 / weight / rho)
 
 
 def fit_for_pencil(alpha, beta, s, t, pencil, tolerance, floor_ratio=None, fits=None):

@@ -17,6 +17,7 @@ import numpy as np
 from . import experiments
 from .aaa import (
     DEFAULT_FLOOR_RATIO,
+    FIT_SAMPLES,
     MAX_DEGREE,
     PoleExtractionError,
     fit_fractional_sum,
@@ -172,7 +173,7 @@ def build_parser():
     p_fit.add_argument("--t", type=float, required=True)
     p_fit.add_argument("--tol", type=float, required=True)
     p_fit.add_argument("--max-degree", type=int, default=MAX_DEGREE)
-    p_fit.add_argument("--grid-points", type=int, default=2000)
+    p_fit.add_argument("--grid-points", type=int, default=FIT_SAMPLES)
     p_fit.add_argument("--floor-ratio", type=float, default=DEFAULT_FLOOR_RATIO)
     p_fit.add_argument("--interval-upper", type=float, default=1.0)
     p_fit.add_argument("--out", default=None)

@@ -195,10 +195,10 @@ def interface_rhs(pencil, seed=0):
     return g
 
 
-def _check_tolerances(*tolerances):
-    """Raise ValueError unless every tolerance is positive and finite."""
-    if not all(0 < tol < math.inf for tol in tolerances):
-        raise ValueError(f"tolerances must be positive and finite: {tolerances}")
+def _check_positive(name, values):
+    """Raise ValueError unless every one of ``values`` is positive and finite."""
+    if not all(0 < value < math.inf for value in values):
+        raise ValueError(f"{name} must be positive and finite: {tuple(values)}")
 
 
 def _fit_preconditioner(pencil, mu, K, tol_ra, fits=None):
@@ -228,7 +228,7 @@ def solve_interface(pencil, mu, K, tol_ra, tol_krylov=1e-10, method="minres", se
     """
     if method not in ("minres", "pcg"):
         raise ValueError(f"unknown method {method!r}")
-    _check_tolerances(tol_krylov)
+    _check_positive("tolerances", (tol_krylov,))
     system = FourierInterfaceSystem(pencil, mu, K)
     pf, setup_seconds = _fit_preconditioner(pencil, mu, K, tol_ra)
     precond = RationalOperator(pf, pencil)
@@ -247,33 +247,35 @@ def pole_sweep(tolerance=1e-12, exponents=EXPONENT_GRID, alphas=POLE_SWEEP_ALPHA
     beta) and (t, s, beta, alpha) do, share one fit through a ``fits`` dict
     made for this call and dropped when it returns; ``fit_reused`` marks a
     point that reused one, whose ``setup_seconds`` is the lookup and the
-    rescaling.  A tolerance that is not positive and finite raises ValueError
-    before the grid; per-point failures are recorded in the record instead
-    of raised, so the grid is always fully enumerated.
+    rescaling.  A tolerance that is not positive and finite, or a grid point
+    that is no valid :class:`FractionalSumFunction` (an exponent outside
+    [-1, 1], a negative weight, both weights zero), raises ValueError before
+    the grid; per-point failures are recorded in the record instead of
+    raised, so the grid is always fully enumerated.
     """
-    _check_tolerances(tolerance)
+    _check_positive("tolerances", (tolerance,))
+    # Every point's function is built, and so checked, before any fit.
+    funcs = [FractionalSumFunction(alpha, beta, s, t, 1.0)
+             for s in exponents for t in exponents
+             for alpha in alphas for beta in betas]
     fits = {}
     records = []
-    for s in exponents:
-        for t in exponents:
-            for alpha in alphas:
-                for beta in betas:
-                    rec = SweepRecord(kind="poles", s=s, t=t, alpha=alpha,
-                                      beta=beta, tolerance=tolerance)
-                    try:
-                        func = FractionalSumFunction(alpha, beta, s, t, 1.0)
-                        norm = normalize(func)
-                        rec.gamma = norm.gamma
-                        rec.swapped = norm.swapped
-                        size = len(fits)
-                        tic = time.perf_counter()
-                        pf = fit_fractional_sum(func, tolerance, max_degree, fits=fits)
-                        rec.setup_seconds = time.perf_counter() - tic
-                        rec.fit_reused = len(fits) == size
-                        rec.fill_pf(pf)
-                    except Exception as exc:
-                        rec.failure = f"{type(exc).__name__}: {exc}"
-                    records.append(rec)
+    for func in funcs:
+        rec = SweepRecord(kind="poles", s=func.s, t=func.t, alpha=func.alpha,
+                          beta=func.beta, tolerance=tolerance)
+        try:
+            norm = normalize(func)
+            rec.gamma = norm.gamma
+            rec.swapped = norm.swapped
+            size = len(fits)
+            tic = time.perf_counter()
+            pf = fit_fractional_sum(func, tolerance, max_degree, fits=fits)
+            rec.setup_seconds = time.perf_counter() - tic
+            rec.fit_reused = len(fits) == size
+            rec.fill_pf(pf)
+        except Exception as exc:
+            rec.failure = f"{type(exc).__name__}: {exc}"
+        records.append(rec)
     return records
 
 
@@ -296,10 +298,12 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
     :meth:`RationalOperator.reweighted`, which applies bitwise as a fresh
     build would.  Both dicts are made for this call and dropped when it
     returns.  ``fit_reused`` marks a point that reused a fit, whose
-    ``setup_seconds`` is the lookup and the rescalings.  The tolerances are
-    checked, and each mesh's pencil assembled, before the grid.
+    ``setup_seconds`` is the lookup and the rescalings.  The tolerances and
+    every mu and K are checked to be positive and finite, and each mesh's
+    pencil assembled, before the grid.
     """
-    _check_tolerances(tolerance, tol_krylov)
+    _check_positive("tolerances", (tolerance, tol_krylov))
+    _check_positive("mu and K", (*mu_grid, *K_grid))
     pencils = {n_cells: assemble_interface(n_cells) for n_cells in mesh_grid}
     fits, shifts = {}, {}
     records = []
@@ -347,7 +351,7 @@ def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
     ``repeats`` runs, so every repeat runs its own fit: this study passes no
     ``fits`` dict.  The tolerances are checked before the grid.
     """
-    _check_tolerances(*tolerance_grid, tol_krylov)
+    _check_positive("tolerances", (*tolerance_grid, tol_krylov))
     pencils = {n: assemble_interface(n) for n in mesh_grid}
     # One fit window for the whole study keeps the setup cost comparable
     # across meshes; it must reach below the smallest scaled eigenvalue of the

@@ -9,6 +9,7 @@ import scipy.linalg
 import fracra.aaa as aaa_module
 from fracra.aaa import (
     DEFAULT_FLOOR_RATIO,
+    FIT_SAMPLES,
     STOP_SAFETY,
     BarycentricForm,
     PartialFraction,
@@ -27,8 +28,8 @@ from fracra.aaa import (
     sup_error,
     to_partial_fraction,
 )
-from fracra.experiments import POLE_SWEEP_ALPHAS, POLE_SWEEP_BETAS
-from fracra.functions import FractionalSumFunction, normalize, sample_grid
+from fracra.experiments import EXPONENT_GRID, POLE_SWEEP_ALPHAS, POLE_SWEEP_BETAS
+from fracra.functions import FractionalSumFunction, evaluate, normalize, sample_grid
 from fracra.pencil import assemble_interface
 
 EPS = np.finfo(float).eps
@@ -792,3 +793,89 @@ def test_fits_dict_fits_again_at_another_tolerance_or_degree(monkeypatch):
     assert [c[1:] for c in calls] == [(1e-10, 30), (1e-8, 30), (1e-10, 12)]
     assert len({c[0] for c in calls}) == 1
     assert len(fits) == 3
+
+
+def spike_between_samples(monkeypatch, tol):
+    """Make every conversion add a positive pole just off the midpoint of two
+    middle grid points, with a residue that keeps the form within ``tol`` on
+    the grid; returns the on-grid deviations of the spiked forms."""
+    real_convert = aaa_module.to_partial_fraction
+    on_grid = []
+
+    def convert(form):
+        pf = real_convert(form)
+        x = form.grid
+        k = x.size // 2
+        pole = np.sqrt(x[k] * x[k + 1]) * (1 + 1e-9)
+        residue = 1e-3 * tol * (x[k + 1] - x[k])
+        spiked = PartialFraction(pf.c0, [*pf.residues, residue], [*pf.poles, pole],
+                                 pf.tolerance, fit_error=pf.fit_error, c1=pf.c1)
+        spiked.validation_error = float(
+            np.max(np.abs(eval_pf(spiked, x) - form.grid_values)))
+        on_grid.append(spiked.validation_error)
+        return spiked
+
+    monkeypatch.setattr(aaa_module, "to_partial_fraction", convert)
+    return on_grid
+
+
+def test_validation_checks_between_the_grid_points(monkeypatch):
+    # The spike is invisible on the grid: only the midpoint check sees it.
+    f = FractionalSumFunction(1.0, 1.0, -0.5, 0.5, 1.0)
+    tol = 1e-10
+    assert fit_fractional_sum(f, tol).converged is True
+    on_grid = spike_between_samples(monkeypatch, tol)
+    pf = fit_fractional_sum(f, tol)
+    assert pf.fit_error <= tol and len(on_grid) == 1
+    assert on_grid[0] <= tol < pf.validation_error
+    assert pf.converged is False
+
+
+def test_a_reused_fit_keeps_its_midpoint_verdict_without_checking_again(monkeypatch):
+    f = FractionalSumFunction(2.0, 1.0, -0.5, 0.5, 1.0)
+    g = FractionalSumFunction(4.0, 2.0, -0.5, 0.5, 1.0)  # the same normalized samples
+    tol = 1e-10
+    on_grid = spike_between_samples(monkeypatch, tol)
+    fresh = fit_fractional_sum(f, tol)
+    checks = []
+    real_evaluate = aaa_module.evaluate
+
+    def counted_evaluate(func, x):
+        checks.append(x.size)
+        return real_evaluate(func, x)
+
+    monkeypatch.setattr(aaa_module, "evaluate", counted_evaluate)
+    fits = {}
+    first = fit_fractional_sum(f, tol, fits=fits)
+    hit = fit_fractional_sum(g, tol, fits=fits)
+    assert len(fits) == 1 and checks == [FIT_SAMPLES - 1] and len(on_grid) == 2
+    assert fresh.validation_error == first.validation_error == hit.validation_error > tol
+    assert hit.converged is False
+
+
+# (s, t) = (-1, -1) and (-1, 1) are exactly rational of low degree.
+@pytest.mark.filterwarnings("ignore:rank-deficient barycentric weight solve")
+@pytest.mark.parametrize("s, t_values", [
+    pytest.param(-0.5, (0.5,), id="s=-0.5,t=0.5"),
+    pytest.param(-1.0, EXPONENT_GRID, id="s=-1"),
+])
+def test_accepted_atlas_forms_hold_on_a_dense_window_grid(s, t_values):
+    # At the default sample count, every form the grid-plus-midpoint
+    # validation accepts meets the tolerance on 20,000 log-spaced points of
+    # the window, judged on the normalized form as the validation is.
+    tol = 1e-12
+    dense = np.geomspace(DEFAULT_FLOOR_RATIO, 1.0, 20000)
+    accepted = 0
+    for t in t_values:
+        for alpha in POLE_SWEEP_ALPHAS:
+            for beta in POLE_SWEEP_BETAS:
+                func = FractionalSumFunction(alpha, beta, s, t, 1.0)
+                fits = {}
+                if not fit_fractional_sum(func, tol, fits=fits).converged:
+                    continue
+                (form,) = fits.values()
+                deviation = np.max(np.abs(eval_pf(form, dense)
+                                          - evaluate(normalize(func).scaled, dense)))
+                assert deviation <= tol, (s, t, alpha, beta, deviation)
+                accepted += 1
+    assert accepted >= 10 * len(t_values)

@@ -223,6 +223,24 @@ def test_sweep_invalid_tolerance_exits_2_without_csv(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["poles", "--exponents", "3", "--alphas", "1", "--betas", "1"],
+     "exponents s, t must lie in"),
+    (["poles", "--exponents", "0", "--alphas=-1", "--betas", "1"],
+     "weights alpha, beta must be nonnegative"),
+    (["robustness", "--mus", "-1", "--Ks", "1", "--meshes", "16"],
+     "mu and K must be positive and finite"),
+    (["robustness", "--mus", "1", "--Ks", "0", "--meshes", "16"],
+     "mu and K must be positive and finite"),
+], ids=["poles-exponent", "poles-alpha", "robustness-mu", "robustness-K"])
+def test_sweep_invalid_grid_value_exits_2_without_csv(tmp_path, capsys, args, message):
+    # The grids are checked before the grid runs, as the tolerances are.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pencil_export(tmp_path, capsys):
     prefix = tmp_path / "mesh"
     code = main(["pencil", "--kind", "interface", "--cells", "16",
