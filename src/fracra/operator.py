@@ -9,36 +9,33 @@ which applies the reciprocal symbol of the pencil through one solve per pole;
 the linear term reuses the mass solve of the constant term and adds one
 matrix product and one more mass solve.
 
-Every real pole is a definite shift, factorized from stored pieces of A and
-M, and the factorization is its definiteness check.  It is factorized as
-A - p M first, which is SPD for a nonpositive pole and for a positive one
-below the spectrum; a positive pole for which that fails is factorized as
-p M - A with the solve negated, which is SPD above the spectrum; and when
-neither is definite the pole lies on the spectrum and FactorizationError
-names it.  The rule needs no bound on the spectrum.
+The pencil must be 1D: at least three unknowns, numbered along the curve,
+so that A and M are tridiagonal once the last unknown is removed (the
+Dirichlet interval exactly, the closed curve apart from the unknown that
+closes the ring).  One read of the CSR arrays of A and M shows this, along
+with the diagonals and the last row the pencil keeps in its own numbering;
+any other pencil raises ValueError before a factorization.  Every shift is
+factorized on its leading tridiagonal block T, and the last unknown is
+eliminated as a one-node border through its Schur complement, so
+factorization and solve both cost O(n).
 
-Which pieces are stored depends on the pattern of A and M.  A 1D pencil of
-at least three unknowns, numbered along its curve, is tridiagonal once its
-last unknown is removed (the Dirichlet interval exactly, the closed curve
-apart from the unknown that closes the ring), which
-one read of the CSR arrays of A and M shows, along with the diagonals and the
-last row the pencil keeps in its own numbering; each definite shift is
-factorized by LAPACK tridiagonal LDL^T (``pttrf``) of the leading block, and
-the last unknown is eliminated as a one-node border through its Schur
-complement.  The border vector T^{-1} b is solved on two end blocks of T that
-reach just past its decay below the smallest normal double, or on the whole
-of T when the blocks would cover it.  Factorization and solve both cost
-O(n).  The diagonals, multipliers and full-length border vectors of the
-mass matrix and of every real shift are assembled, factorized and solved in
-place, each in its row of one (3, k, n - 1) array.  Every other pencil
-factorizes its definite shifts by sparse LU (``splu``) in symmetric mode: a
-minimum-degree ordering of A + A^T applied to rows and columns alike and
-diagonal pivots only, so the pivots are those of an LDL^T and their signs
-give the inertia of the shift (Sylvester's law); the count of pivots that
-are not positive, the eigenvalues below a pole on the spectrum, is in its
-error.  A - p M of a positive pole with a diagonal entry that is not positive
-is indefinite without being factorized, and goes straight to p M - A.  Complex conjugate pairs are factorized by sparse LU with its default
-partial pivoting on either path.
+Every real pole is a definite shift and the factorization is its
+definiteness check.  It is factorized by LAPACK tridiagonal LDL^T
+(``pttrf``) as A - p M first, which is SPD for a nonpositive pole and for a
+positive one below the spectrum; a positive pole for which that fails is
+factorized as p M - A with the solve negated, which is SPD above the
+spectrum; and when neither is definite the pole lies on the spectrum and
+FactorizationError names it.  The rule needs no bound on the spectrum.  The
+border vector T^{-1} b is solved on two end blocks of T that reach just past
+its decay below the smallest normal double, or on the whole of T when the
+blocks would cover it.  The diagonals, multipliers and full-length border
+vectors of the mass matrix and of every real shift are assembled,
+factorized and solved in place, each in its row of one (3, k, n - 1) array.
+
+A complex conjugate pair shares one shift A - p M, which is complex
+symmetric: T is factorized by tridiagonal LU with partial pivoting
+(``gttrf``) and the border vector is solved on the whole of T.  SciPy's
+wrapper needs T of at least three unknowns, so a pair needs four.
 """
 
 from __future__ import annotations
@@ -49,7 +46,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs, zgttrf, zgttrs
+# Unused here: bench/spans.py times sparse LU through this name.
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -140,8 +138,6 @@ class _BorderedTridiagonal:
     ring E keeps one sign, so its extremes show when no entry needs a flush.
     """
 
-    kind = "tridiagonal"
-
     def __init__(self, index, work, d, e, b, c, full, label):
         d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
         if info != 0:
@@ -182,7 +178,8 @@ class _BorderedTridiagonal:
     def solve(self, rhs):
         # b.T^{-1} r = w.r because T is symmetric, so the last unknown comes
         # first and the border only patches its few entries of the right-hand
-        # side of the one pttrs, which overwrites the contiguous head in place.
+        # side of the one tridiagonal solve, which overwrites the contiguous
+        # head in place.
         x = rhs.copy()
         head = x[:-1]
         last = x[-1]
@@ -191,70 +188,69 @@ class _BorderedTridiagonal:
         last /= self.s
         for i, value in self.border:
             head[i] -= last * value
-        dpttrs(self.d, self.e, head, overwrite_b=1)
+        self._trs(head)
         x[-1] = last
         return x
 
-
-def _sparse_lu(matrix, label, **options):
-    """Sparse LU of a shift; the result has ``solve`` and ``nnz``."""
-    try:
-        return splu(matrix.tocsc(), **options)
-    except RuntimeError as exc:
-        raise FactorizationError(f"factorization failed for {label}: {exc}") from exc
+    def _trs(self, head):
+        dpttrs(self.d, self.e, head, overwrite_b=1)
 
 
-def _definite_lu(matrix, label, check_diagonal=False):
-    """Symmetric-mode sparse LU of a shift that must be positive definite.
+class _BorderedPair(_BorderedTridiagonal):
+    """LU of the complex symmetric shift [[T, b], [b^T, c]] = A - p M of a
+    conjugate pair, with T tridiagonal.
 
-    With diagonal pivots only and the same permutation on rows and columns,
-    the diagonal of U holds the pivots of an LDL^T of the permuted shift.  A
-    row interchange, a pivot that is not positive, or a smallest pivot at
-    most n*eps times the largest raises FactorizationError.  With
-    ``check_diagonal``, a diagonal entry that is not positive, which already
-    proves the shift indefinite, raises before the factorization is run.
+    ``gttrf`` factorizes T with partial pivoting, taking the subdiagonal ``e``
+    for both off-diagonals; the border is eliminated as in the real case,
+    through w = T^{-1} b solved on the whole of T and the Schur pivot
+    s = c - b^T w, without conjugation since T^T = T.  Real and imaginary
+    parts of w below the smallest normal double are set to zero, as in the
+    real case.  A failed ``gttrf`` or s == 0, an exactly singular shift,
+    raises FactorizationError.  SciPy's ``gttrf`` and ``gttrs`` reject a 2 x 2
+    block, so a pencil of three unknowns raises ValueError.
     """
-    if check_diagonal:
-        not_positive = int(np.count_nonzero(~(matrix.diagonal() > 0)))
-        if not_positive:
+
+    def __init__(self, index, work, d, e, b, c, label):
+        if d.size < 3:
+            raise ValueError("a conjugate pair needs a pencil of at least four unknowns")
+        *self.lu, info = zgttrf(e, d, e)
+        if info != 0:
             raise FactorizationError(
-                f"shifted matrix for {label} is not positive definite "
-                f"({not_positive} of {matrix.shape[0]} diagonal entries not positive)"
-            )
-    lu = _sparse_lu(matrix, label, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise FactorizationError(
-            f"shifted matrix for {label} is not positive definite "
-            "(a zero pivot needed a row interchange)"
-        )
-    pivots = lu.U.diagonal()
-    not_positive = int(np.count_nonzero(~(pivots > 0)))
-    if not_positive:
-        raise FactorizationError(
-            f"shifted matrix for {label} is not positive definite "
-            f"({not_positive} of {pivots.size} pivots not positive)"
-        )
-    _check_pivots(pivots.min(), pivots.max(), pivots.size, label)
-    return lu
+                f"shifted matrix for {label} is singular (gttrf info {info})")
+        self.border = list(zip(index, b.tolist()))
+        w = np.zeros(d.size, dtype=complex)
+        for i, value in self.border:
+            w[i] = value
+        self._trs(w)
+        _flush(w.real, work)
+        _flush(w.imag, work)
+        s = complex(c[0] - sum(value * w[i] for i, value in self.border))
+        if s == 0:
+            raise FactorizationError(
+                f"shifted matrix for {label} is singular (Schur pivot 0)")
+        self.w_blocks, self.s = [(0, w)], s
+        self.nnz = sum(int(np.count_nonzero(x)) for x in [*self.lu[:4], w]) + 1
+
+    def _trs(self, head):
+        zgttrs(*self.lu, head, overwrite_b=1)
 
 
 class RationalOperator:
-    """Applies a partial fraction to a pencil via cached shifted solves.
+    """Applies a partial fraction to a 1D pencil via cached shifted solves.
 
-    Conjugate pole pairs share one complex factorization; the pair contributes
-    2*Re(c*w) so the output stays real.  A linear coefficient c1 is realized
-    as c1 * M^{-1} A y with y = M^{-1} r the mass solve the constant term
-    already needs, and costs nothing when c1 = 0.  The definite shifts of a
-    pencil that is tridiagonal apart from its last unknown are bordered
-    tridiagonal LDL^T, held in rows of one buffer; those of any other pencil
-    are symmetric-mode sparse LU.  Every real pole is a definite shift, of
-    A - p M or of p M - A, and a real pole for which neither is definite lies
-    on the spectrum and raises FactorizationError.  Contributions are
-    accumulated in place in ascending |pole| order, which makes repeated
-    applies bitwise reproducible.  A built operator is immutable apart from
-    its telemetry counters, so concurrent applies are safe when the telemetry
-    is not needed.
+    Every shift is bordered tridiagonal: the definite ones, the mass matrix
+    and one per real pole, LDL^T in rows of one buffer; one per conjugate
+    pair, a complex LU, whose contribution is 2*Re(c*w) so the output stays
+    real.  A pencil that is not tridiagonal apart from its last unknown, or
+    has fewer than three unknowns, raises ValueError.  A linear coefficient
+    c1 is realized as c1 * M^{-1} A y with y = M^{-1} r the mass solve the
+    constant term already needs, and costs nothing when c1 = 0.  Every real
+    pole is a definite shift, of A - p M or of p M - A, and a real pole for
+    which neither is definite lies on the spectrum and raises
+    FactorizationError.  Contributions are accumulated in place in ascending
+    |pole| order, which makes repeated applies bitwise reproducible.  A built
+    operator is immutable apart from its telemetry counters, so concurrent
+    applies are safe when the telemetry is not needed.
 
     The factorizations depend only on the pencil and the poles, the weights
     only on the residues: :meth:`reweighted` gives the operator of another
@@ -265,37 +261,29 @@ class RationalOperator:
     def __init__(self, pf, pencil):
         self.pf = pf
         self.pencil = pencil
-        A, M = pencil.A, pencil.M
         poles, residues, pair = pf.terms
-        bordered = _bordered_tridiagonal(A, M)
-        if bordered is not None:
-            index, (a_parts, m_parts) = bordered
-            index, work = index.tolist(), np.empty(self.n)
-            # D, E and full-length W of the mass matrix and every real shift
-            buffer = np.empty((3, 1 + np.count_nonzero(~pair), self.n - 1))
-        else:
-            a_parts, m_parts = (A,), (M,)
+        bordered = _bordered_tridiagonal(pencil.A, pencil.M)
+        if bordered is None:
+            raise ValueError("a rational operator needs a pencil of at least three "
+                             "unknowns that is tridiagonal once its last unknown is removed")
+        index, (a_parts, m_parts) = bordered
+        index, work = index.tolist(), np.empty(self.n)
+        # D, E and full-length W of the mass matrix and every real shift
+        buffer = np.empty((3, 1 + np.count_nonzero(~pair), self.n - 1))
         self.apply_count = 0
 
         def definite(row, a_sign, m_coef, label):
-            """The definite factorization of a_sign * A + m_coef * M for a_sign
-            in {0, 1, -1}, assembled into its buffer row on the 1D path and
-            into a new matrix elsewhere.  On the sparse-LU path A - p M of a
-            positive pole, which has p M - A to fall back on, is first checked
-            for a diagonal entry that is not positive, so that a pole above
-            the spectrum costs no wasted factorization."""
-            outs = ((None,) if bordered is None
-                    else (buffer[0, row], buffer[1, row, :-1], None, None))
+            """The LDL^T of a_sign * A + m_coef * M for a_sign in {0, 1, -1},
+            assembled into its buffer row."""
             pieces = []
-            for a, m, out in zip(a_parts, m_parts, outs):
+            for a, m, out in zip(a_parts, m_parts,
+                                 (buffer[0, row], buffer[1, row, :-1], None, None)):
                 x = m_coef * m if out is None else np.multiply(m_coef, m, out=out)
                 if a_sign > 0:
                     x += a
                 elif a_sign < 0:
                     x -= a
                 pieces.append(x)
-            if bordered is None:
-                return _definite_lu(*pieces, label, check_diagonal=a_sign > 0 and m_coef < 0)
             return _BorderedTridiagonal(index, work, *pieces, buffer[2, row], label)
 
         tic = time.perf_counter()
@@ -308,7 +296,9 @@ class RationalOperator:
         for k, pole in enumerate(poles):
             tic = time.perf_counter()
             if pair[k]:
-                solver = _sparse_lu(A.astype(complex) - pole * M, f"pole {pole:.6e}")
+                solver = _BorderedPair(index, work,
+                                       *(a - pole * m for a, m in zip(a_parts, m_parts)),
+                                       f"pole {pole:.6e}")
             else:
                 pole = pole.real
                 label = f"pole {pole:.6e}"
@@ -399,17 +389,15 @@ class RationalOperator:
 
     @property
     def telemetry(self):
-        """Apply counters plus per-shift factorization time, stored factor
-        entries and solver (``"tridiagonal"`` or ``"lu"``); the
-        per-shift lists share the order of ``shift_seconds`` (the mass matrix
-        first)."""
+        """Apply counters plus per-shift factorization time and stored factor
+        entries; the per-shift lists share the order of ``shift_seconds`` (the
+        mass matrix first)."""
         return {
             "apply_count": self.apply_count,
             "solves_per_apply": self.solves_per_apply,
             "shift_seconds": self.shift_seconds.tolist(),
             "factor_seconds": list(self.factor_seconds),
             "factor_nnz": [int(s.nnz) for s in self._solvers],
-            "shift_solvers": [getattr(s, "kind", "lu") for s in self._solvers],
         }
 
 

@@ -111,17 +111,56 @@ def test_oracle_agreement(mu, K):
 
 
 def test_conjugate_pair_single_factorization():
-    pencil = assemble_interface(40)
+    # On the ring the border couples to both ends of the leading block, on
+    # the Dirichlet interval to its last unknown only.
     c, p = 0.5 + 0.25j, -2.0 + 1.0j
     pf = PartialFraction(0.1, [c, np.conj(c)], [p, np.conj(p)], 1e-12)
-    op = RationalOperator(pf, pencil)
-    # the pair shares one complex factorization
-    assert op.solves_per_apply == 2
-    r = np.random.default_rng(4).standard_normal(pencil.n_c)
-    out = op.apply(r)
-    assert out.dtype == np.float64
-    ref = dense_apply(pf, pencil, r)
-    assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
+    for pencil in (assemble_interface(40), assemble_interval(40, periodic=False)):
+        op = RationalOperator(pf, pencil)
+        # the pair shares one complex factorization
+        assert op.solves_per_apply == 2
+        r = np.random.default_rng(4).standard_normal(pencil.n_c)
+        out = op.apply(r)
+        assert out.dtype == np.float64
+        ref = dense_apply(pf, pencil, r)
+        assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
+    # SciPy's tridiagonal LU takes no 2 x 2 block
+    with pytest.raises(ValueError, match="at least four unknowns"):
+        RationalOperator(pf, assemble_interface(3))
+
+
+def test_singular_pair_shift_reports_pole(monkeypatch):
+    # A pair whose tridiagonal LU meets an exactly zero pivot cannot be
+    # solved; gttrf reports it with info > 0 and the error names the pole.
+    real_zgttrf = operator_module.zgttrf
+
+    def singular_zgttrf(dl, d, du):
+        *lu, _info = real_zgttrf(dl, d, du)
+        return (*lu, 3)
+
+    monkeypatch.setattr(operator_module, "zgttrf", singular_zgttrf)
+    c, p = 0.5 + 0.25j, -2.0 + 1.0j
+    pf = PartialFraction(0.1, [c, np.conj(c)], [p, np.conj(p)], 1e-12)
+    with pytest.raises(FactorizationError, match=(
+            r"pole -2\.000000e\+00[+-]1\.000000e\+00j is singular \(gttrf info 3\)")):
+        RationalOperator(pf, assemble_interface(40))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assemble_unit_square(6),
+    lambda: _permuted(assemble_interval(32, periodic=True), 0),
+    lambda: assemble_interval(3, periodic=False),
+], ids=["square-6", "scrambled-ring-32", "interval-3"])
+def test_pencil_that_is_not_bordered_tridiagonal_raises(make, monkeypatch):
+    # A pencil that is not tridiagonal once its last unknown is removed, or
+    # has fewer than three unknowns, has no solver: it raises before any
+    # factorization.
+    monkeypatch.setattr(operator_module, "dpttrf", _no_factorization)
+    monkeypatch.setattr(operator_module, "zgttrf", _no_factorization)
+    c, p = 0.5 + 0.25j, -2.0 + 1.0j
+    pf = PartialFraction(0.1, [1.0, c, np.conj(c)], [-1.0, p, np.conj(p)], 1e-12)
+    with pytest.raises(ValueError, match="tridiagonal once its last unknown is removed"):
+        RationalOperator(pf, make())
 
 
 @pytest.mark.parametrize("pole,weight", [(0.5, 1.0), (3e4, -1.0)],
@@ -138,7 +177,6 @@ def test_positive_pole_off_the_spectrum_is_a_definite_shift(pole, weight, monkey
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         op = RationalOperator(pf, pencil)
-    assert op.telemetry["shift_solvers"] == ["tridiagonal", "tridiagonal"]
     assert op._weights.tolist() == [weight]
     r = np.random.default_rng(5).standard_normal(pencil.n_c)
     out = op.apply(r)
@@ -148,13 +186,11 @@ def test_positive_pole_off_the_spectrum_is_a_definite_shift(pole, weight, monkey
 
 @pytest.mark.parametrize("make,match", [
     (lambda: assemble_interface(64), r"\(pttrf info \d+\)"),
-    (lambda: assemble_unit_square(31), r"\(121 of 900 pivots not positive\)"),
-], ids=["ring-64", "square-31"])
+], ids=["ring-64"])
 def test_pole_on_the_spectrum_raises_naming_it(make, match):
     # Neither A - p M nor p M - A is definite for a pole inside
     # [lambda_min, lambda_max]; the error names the pole in the middle of the
-    # term list, and on the sparse-LU path the count of pivots of A - p M that
-    # are not positive, the eigenvalues below the pole.
+    # term list.
     pf = PartialFraction(0.0, [1.0, 1.0, 1.0], [-1.0, 2000.0, -1e4], 1e-12)
     with pytest.raises(FactorizationError, match=(
             r"pole 2\.000000e\+03 is not positive definite " + match
@@ -195,18 +231,11 @@ def test_definite_shifts_share_one_buffer(n):
 
 def test_singular_shift_reports_pole():
     # The plain periodic stiffness is singular, so a pole at zero cannot be
-    # factorized as an SPD shift.  Numbered at random, the ring is not
-    # tridiagonal apart from its last unknown and takes symmetric-mode sparse
-    # LU, whose smallest pivot comes out positive (+5e-15): only the pivot
-    # ratio shows the singularity.
+    # factorized as an SPD shift.
     ring = assemble_interval(32, periodic=True)
-    perm = np.random.default_rng(0).permutation(ring.n_c)
-    scrambled = OperatorPencil(ring.A[perm][:, perm], ring.M[perm][:, perm],
-                               spatial_dimension=1)
     pf = PartialFraction(0.0, [1.0], [0.0], 1e-12)
-    for pencil in (ring, scrambled):
-        with pytest.raises(FactorizationError, match="pole .* is numerically singular"):
-            RationalOperator(pf, pencil)
+    with pytest.raises(FactorizationError, match="pole .* is numerically singular"):
+        RationalOperator(pf, ring)
 
 
 def test_linearity():
@@ -266,8 +295,6 @@ def test_term_order_does_not_depend_on_input_order():
     r = np.random.default_rng(4).standard_normal(pencil.n_c)
     assert np.array_equal(ops[0].apply(r), ops[1].apply(r))
     telemetry = [op.telemetry for op in ops]
-    assert telemetry[0]["shift_solvers"] == telemetry[1]["shift_solvers"] == [
-        "tridiagonal", "tridiagonal", "lu", "tridiagonal", "tridiagonal"]
     assert telemetry[0]["factor_nnz"] == telemetry[1]["factor_nnz"]
 
 
@@ -279,20 +306,10 @@ def _ring_form(pencil, scale):
                            c1=1e-3 * scale)
 
 
-def _square_form(pencil, scale):
-    # Sparse LU: a positive pole below the spectrum and a complex pair.
-    c, p = 0.5 + 0.25j, -2.0 + 1.0j
-    return PartialFraction(0.1 * scale, np.array([1.0, c, np.conj(c)]) * scale,
-                           [0.5, p, np.conj(p)], 1e-12, c1=2e-3 * scale)
-
-
-@pytest.mark.parametrize("make,form,solvers,negated", [
-    (lambda: assemble_interface(64), _ring_form,
-     ["tridiagonal", "tridiagonal", "lu", "tridiagonal", "tridiagonal"],
-     [False, False, False, True]),
-    (lambda: assemble_unit_square(6), _square_form, ["lu", "lu", "lu"], [False, False]),
-], ids=["ring-pM-A", "square-lu-pair"])
-def test_reweighted_operator_applies_as_a_fresh_build(make, form, solvers, negated):
+@pytest.mark.parametrize("make,form,negated", [
+    (lambda: assemble_interface(64), _ring_form, [False, False, False, True]),
+], ids=["ring-pM-A"])
+def test_reweighted_operator_applies_as_a_fresh_build(make, form, negated):
     # Same poles on the same pencil: the reweighted operator shares every
     # solver and applies bitwise as a fresh build of the new form.
     pencil = make()
@@ -300,7 +317,6 @@ def test_reweighted_operator_applies_as_a_fresh_build(make, form, solvers, negat
     pf = form(pencil, -7.3e-3)
     reweighted = op.reweighted(pf, pencil)
     fresh = RationalOperator(pf, pencil)
-    assert fresh.telemetry["shift_solvers"] == solvers
     assert np.array_equal(fresh._weights, np.where(negated, -1, 1) * pf.terms[1])
     assert all(a is b for a, b in zip(reweighted._solvers, op._solvers))
     assert np.array_equal(reweighted._weights, fresh._weights)
@@ -339,22 +355,11 @@ def test_apply_count_telemetry():
     assert op.apply_count == 2
     telemetry = op.telemetry
     assert telemetry["solves_per_apply"] == 2
-    # per shift, mass matrix first: apply time, factorization time, fill and
-    # solver
-    for key in ("shift_seconds", "factor_seconds", "factor_nnz", "shift_solvers"):
+    # per shift, mass matrix first: apply time, factorization time and fill
+    for key in ("shift_seconds", "factor_seconds", "factor_nnz"):
         assert len(telemetry[key]) == 2
     assert all(t >= 0 for t in telemetry["factor_seconds"])
     assert all(nnz >= pencil.n_c for nnz in telemetry["factor_nnz"])
-    assert telemetry["shift_solvers"] == ["tridiagonal", "tridiagonal"]
-
-    # a wide pencil's mass matrix, a positive pole below its spectrum and a
-    # complex pair (ascending |pole| order) are all sparse LU, without a warning
-    c, p = 0.5 + 0.25j, -2.0 + 1.0j
-    pf = PartialFraction(0.0, [1.0, c, np.conj(c)], [0.5, p, np.conj(p)], 1e-12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        op = RationalOperator(pf, assemble_unit_square(6))
-    assert op.telemetry["shift_solvers"] == ["lu", "lu", "lu"]
 
 
 def test_spd_audit_positive_operator():
@@ -385,25 +390,27 @@ def test_apply_rejects_wrong_length():
 
 
 def _no_sparse_lu(*_args, **_kwargs):
-    raise AssertionError("a definite shift reached sparse LU")
+    raise AssertionError("a shift reached sparse LU")
 
 
-_SYMMETRIC_MODE = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-                   "options": {"SymmetricMode": True}}
+def _no_factorization(*_args, **_kwargs):
+    raise AssertionError("a shift was factorized")
 
 
-@pytest.mark.parametrize("make,solver", [
-    (lambda: assemble_interval(60, periodic=False), "tridiagonal"),
-    (lambda: assemble_interface(64), "tridiagonal"),
-    (lambda: assemble_unit_square(8), "lu"),
-    (lambda: assemble_interval(3, periodic=False), "lu"),
-], ids=["interval-60", "ring-64", "square-8", "interval-3"])
-def test_definite_apply_matches_dense_spectral_apply(make, solver, monkeypatch):
-    # The mass matrix and nonpositive poles are definite shifts.  The 1D
-    # pencils of at least three unknowns are tridiagonal apart from their last
-    # unknown and take the bordered LDL^T path, which calls no sparse LU.  The
-    # unit square, and an interval of two unknowns, take sparse LU, but only in
-    # symmetric mode, whose pivots give the definiteness check.
+def _permuted(pencil, seed):
+    """The pencil with its unknowns numbered at random."""
+    perm = np.random.default_rng(seed).permutation(pencil.n_c)
+    return OperatorPencil(pencil.A[perm][:, perm], pencil.M[perm][:, perm],
+                          spatial_dimension=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assemble_interval(60, periodic=False),
+    lambda: assemble_interface(64),
+], ids=["interval-60", "ring-64"])
+def test_definite_apply_matches_dense_spectral_apply(make, monkeypatch):
+    # The mass matrix and nonpositive poles are definite shifts, which the
+    # bordered LDL^T path factorizes without sparse LU.
     calls = []
     real_splu = operator_module.splu
 
@@ -415,8 +422,7 @@ def test_definite_apply_matches_dense_spectral_apply(make, solver, monkeypatch):
     pencil = make()
     pf = PartialFraction(0.2, [1.0, 0.5, 3.0], [-2.0, 0.0, -50.0], 1e-12)
     op = RationalOperator(pf, pencil)
-    assert op.telemetry["shift_solvers"] == [solver] * 4
-    assert calls == ([] if solver == "tridiagonal" else [_SYMMETRIC_MODE] * 4)
+    assert calls == []
     r = np.random.default_rng(10).standard_normal(pencil.n_c)
     symbol = lambda lam: 0.2 + 1.0 / (lam + 2.0) + 0.5 / lam + 3.0 / (lam + 50.0)
     ref = dense_inverse_fractional_apply(pencil, symbol, r)
@@ -440,125 +446,84 @@ def test_pole_above_rho_is_a_negative_definite_shift(monkeypatch):
     assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def test_pole_above_the_spectrum_skips_the_indefinite_lu(monkeypatch):
-    # On the sparse-LU path, A - p M of the unit square at p = 2 rho_bound has
-    # a negative diagonal, which proves it indefinite without factorizing it:
-    # only the mass matrix and p M - A are factorized.
-    calls = []
-    real_splu = operator_module.splu
-
-    def recording_splu(matrix, **options):
-        calls.append(options)
-        return real_splu(matrix, **options)
-
-    monkeypatch.setattr(operator_module, "splu", recording_splu)
-    pencil = assemble_unit_square(20)
-    pole = 2.0 * pencil.rho_bound
-    assert np.min((pencil.A - pole * pencil.M).diagonal()) < 0
-    pf = PartialFraction(0.1, [1.0], [pole], 1e-12)
-    op = RationalOperator(pf, pencil)
-    assert len(calls) == 2
-    assert op._weights.tolist() == [-1.0]
-    r = np.random.default_rng(12).standard_normal(pencil.n_c)
-    symbol = lambda lam: 0.1 + 1.0 / (lam - pole)
-    ref = dense_inverse_fractional_apply(pencil, symbol, r)
-    assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
-
-
 def test_negative_definite_pencil_reports_pole():
-    # -A of a Dirichlet interval or of the unit square is negative definite,
-    # and A - 2000 M of the unit square and the swap [[0, 1], [1, 0]] are
-    # indefinite, so the pole at zero is not an SPD shift.  The interval fails
-    # in pttrf; the squares fail the sign of their symmetric-mode LU pivots.
-    # The swap's pivots come out positive, but only after a row interchange.
-    interval, square, fine = (assemble_interval(32, periodic=False),
-                              assemble_unit_square(8), assemble_unit_square(31))
-    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # -A of a Dirichlet interval is negative definite, so the pole at zero is
+    # not an SPD shift, and pttrf fails.
+    interval = assemble_interval(32, periodic=False)
     pf = PartialFraction(0.0, [1.0], [0.0], 1e-12)
-    for A, M, dim, match in (
-        (-interval.A, interval.M, 1, r"\(pttrf info 1\)"),
-        (-square.A, square.M, 2, r"\(49 of 49 pivots not positive\)"),
-        (fine.A - 2000.0 * fine.M, fine.M, 2, r"\(121 of 900 pivots not positive\)"),
-        (swap, sp.identity(2, format="csr"), 2, r"\(a zero pivot needed a row interchange\)"),
-    ):
-        pencil = OperatorPencil(A, M, spatial_dimension=dim)
-        with pytest.raises(FactorizationError, match="pole .* not positive definite " + match):
-            RationalOperator(pf, pencil)
+    pencil = OperatorPencil(-interval.A, interval.M, spatial_dimension=1)
+    with pytest.raises(FactorizationError, match=r"pole .* not positive definite \(pttrf info 1\)"):
+        RationalOperator(pf, pencil)
 
 
 def _stored_arrays(solver):
-    """Every array a definite solver keeps for its solves."""
-    if not isinstance(solver, operator_module._BorderedTridiagonal):
-        return [solver.L.data, solver.U.data]
-    return [solver.d, solver.e, *(w for _lo, w in solver.w_blocks), np.array([solver.s])]
+    """Every array a solver keeps for its solves."""
+    factor = solver.lu[:4] if hasattr(solver, "lu") else [solver.d, solver.e]
+    return [*factor, *(w for _lo, w in solver.w_blocks), np.array([solver.s])]
 
 
 def _circulant_solve(n, pole, r):
-    """(A - pole M)^{-1} r on assemble_interface(n), or M^{-1} r for pole None.
+    """(A - pole M)^{-1} r on assemble_interface(n), or M^{-1} r for pole None,
+    as a complex vector.
 
     A = K + M with K and M the circulant P1 stiffness and mass of the ring, so
-    one FFT diagonalizes every shift exactly.
+    one FFT diagonalizes every shift exactly, a complex one too.
     """
     h = 1.0 / n
     cos = np.cos(2.0 * np.pi * np.arange(n) / n)
     lam_m = h * (4.0 + 2.0 * cos) / 6.0
     lam_k = (2.0 - 2.0 * cos) / h
     symbol = lam_m if pole is None else lam_k + (1.0 - pole) * lam_m
-    return np.fft.ifft(np.fft.fft(r) / symbol).real
+    return np.fft.ifft(np.fft.fft(r) / symbol)
 
 
 def test_band_factors_hold_no_subnormal_entries():
     # A strongly shifted ring's border solve w = T^-1 b decays geometrically
     # from both ends of the leading block through the subnormal range; stored
     # entries below the smallest normal double are flushed to zero, which
-    # keeps every solve at full speed.  A ring numbered at random is not
-    # tridiagonal apart from its last unknown, so it takes symmetric-mode
-    # sparse LU, whose factors hold no subnormal entry either and whose count
-    # of stored entries is exactly its nonzeros.
+    # keeps every solve at full speed.  The same holds for the real and
+    # imaginary parts of a strongly shifted conjugate pair's border vector.
     tiny = np.finfo(float).tiny
     poles = [-1.0, -1e6, -1e11]
-    pf = PartialFraction(1.0, [1.0] * 3, poles, 1e-12)
-    ring, base = assemble_interface(4096), assemble_interface(1024)
-    perm = np.random.default_rng(14).permutation(base.n_c)
-    scrambled = OperatorPencil(base.A[perm][:, perm], base.M[perm][:, perm],
-                               spatial_dimension=1)
-    for pencil, order, kind in ((ring, np.arange(ring.n_c), "tridiagonal"),
-                                (scrambled, perm, "lu")):
-        op = RationalOperator(pf, pencil)
-        assert set(op.telemetry["shift_solvers"]) == {kind}
-        solvers = op._solvers
-        stored = [_stored_arrays(solver) for solver in solvers]
-        for array in (a for arrays in stored for a in arrays):
-            assert not np.any((array != 0.0) & (np.abs(array) < tiny))
-        assert op.telemetry["factor_nnz"] == [
-            sum(int(np.count_nonzero(a)) for a in arrays) for arrays in stored]
-        r = np.random.default_rng(12).standard_normal(pencil.n_c)
-        ring_r = np.empty_like(r)
-        ring_r[order] = r
-        ref = sum(_circulant_solve(pencil.n_c, p, ring_r) for p in [None] + poles)[order]
-        assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
-    # the strongest shift's border vector on the ring decayed below tiny, so
-    # only its end blocks are stored
-    ring_op = RationalOperator(pf, ring)
-    assert sum(w.size for _lo, w in ring_op._solvers[-1].w_blocks) < ring.n_c - 1
+    c, p = 0.5 + 0.25j, -1e9 + 1e9j
+    pf = PartialFraction(1.0, [1.0] * 3 + [c, np.conj(c)], poles + [p, np.conj(p)], 1e-12)
+    ring = assemble_interface(4096)
+    op = RationalOperator(pf, ring)
+    stored = [_stored_arrays(solver) for solver in op._solvers]
+    for array in (a.view(float) for arrays in stored for a in arrays):
+        assert not np.any((array != 0.0) & (np.abs(array) < tiny))
+    assert op.telemetry["factor_nnz"] == [
+        sum(int(np.count_nonzero(a)) for a in arrays) for arrays in stored]
+    r = np.random.default_rng(12).standard_normal(ring.n_c)
+    ref = (sum(_circulant_solve(ring.n_c, q, r).real for q in [None] + poles)
+           + 2.0 * np.real(c * _circulant_solve(ring.n_c, p, r)))
+    assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the strongest shift's border vector decayed below tiny, so only its end
+    # blocks are stored
+    assert sum(w.size for _lo, w in op._solvers[-1].w_blocks) < ring.n_c - 1
 
 
-@pytest.mark.parametrize("pole", [None, -1e-3, -1.0, -1e3, -1e6, -1e9, -1e11, "2rho"])
+@pytest.mark.parametrize("pole", [None, -1e-3, -1.0, -1e3, -1e6, -1e9, -1e11, "2rho",
+                                  -1.0 + 1e-3j, -3e4 + 2e4j, -1e9 + 1e9j])
 def test_ring_shifts_match_circulant_fft_solve(pole, monkeypatch):
-    # Every definite shift of a 4096-cell ring, against the exact FFT solve of
-    # its circulant matrix; none of them may fall back to sparse LU.
+    # Every shift of a 4096-cell ring, definite or of a conjugate pair,
+    # against the exact FFT solve of its circulant matrix; none of them may
+    # fall back to sparse LU.  A pair contributes 2 Re(c x).
     monkeypatch.setattr(operator_module, "splu", _no_sparse_lu)
     pencil = assemble_interface(4096)
     if pole == "2rho":
         pole = 2.0 * pencil.rho_bound
+    c = 0.5 + 0.25j
     if pole is None:
         pf = PartialFraction(1.0, [], [], 1e-12)
+    elif isinstance(pole, complex):
+        pf = PartialFraction(0.0, [c, np.conj(c)], [pole, np.conj(pole)], 1e-12)
     else:
         pf = PartialFraction(0.0, [1.0], [pole], 1e-12)
     op = RationalOperator(pf, pencil)
-    assert set(op.telemetry["shift_solvers"]) == {"tridiagonal"}
     r = np.random.default_rng(13).standard_normal(pencil.n_c)
-    ref = _circulant_solve(pencil.n_c, pole, r)
+    x = _circulant_solve(pencil.n_c, pole, r)
+    ref = 2.0 * np.real(c * x) if isinstance(pole, complex) else x.real
     bound = 1e-12 if pole is None or abs(pole) >= 1e6 else 1e-7
     assert np.linalg.norm(op.apply(r) - ref) <= bound * np.linalg.norm(ref)
 
@@ -602,7 +567,6 @@ def test_border_blocks_match_full_length_solve(n, pole, scale):
     else:
         op = RationalOperator(PartialFraction(0.0, [1.0], [pole], 1e-12), pencil)
         solver, shifted = op._solvers[1], pencil.A - pole * pencil.M
-    assert solver.kind == "tridiagonal"
     m = n - 1
     b = shifted[-1, :-1].toarray().ravel()
     ref, _info = dpttrs(solver.d, solver.e, b)
@@ -646,21 +610,24 @@ def test_mid_coupled_border_takes_the_full_length_solve(monkeypatch):
     # A Dirichlet interval whose last row also couples to a middle unknown,
     # through the PSD rank-one term (e_last - e_mid)(e_last - e_mid)^T added
     # to A.  No pair of end blocks short of the whole leading block holds
-    # both border positions, so every definite shift solves w on all of T.
+    # both border positions, so every definite shift solves w on all of T, as
+    # the conjugate pair's shift always does.
     monkeypatch.setattr(operator_module, "splu", _no_sparse_lu)
     base = assemble_interval(1500, periodic=False)
     n = base.n_c
     mid = n // 2
     v = sp.csr_matrix(([1.0, -1.0], ([0, 0], [n - 1, mid])), shape=(1, n))
     pencil = OperatorPencil(base.A + v.T @ v, base.M, spatial_dimension=1)
-    residues, poles = [1.0, 1e9, 1e11], [-1.0, -1e9, -1e11]
+    c, p = 2e4 - 1e4j, -3e4 + 2e4j
+    residues = [1.0, c, np.conj(c), 1e9, 1e11]
+    poles = [-1.0, p, np.conj(p), -1e9, -1e11]
     pf = PartialFraction(0.5, residues, poles, 1e-12)
     op = RationalOperator(pf, pencil)
     solvers = op._solvers
-    assert [solver.kind for solver in solvers] == ["tridiagonal"] * 4
+    assert len(solvers) == 5
     for solver in solvers:
         assert [(lo, w.size) for lo, w in solver.w_blocks] == [(0, n - 1)]
     r = np.random.default_rng(15).standard_normal(n)
-    symbol = lambda lam: 0.5 + sum(c / (lam - p) for c, p in zip(residues, poles))
+    symbol = lambda lam: np.real(0.5 + sum(c / (lam - p) for c, p in zip(residues, poles)))
     ref = dense_inverse_fractional_apply(pencil, symbol, r)
     assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
