@@ -28,14 +28,25 @@ spectrum; and when neither is definite the pole lies on the spectrum and
 FactorizationError names it.  The rule needs no bound on the spectrum.  The
 border vector T^{-1} b is solved on two end blocks of T that reach just past
 its decay below the smallest normal double, or on the whole of T when the
-blocks would cover it.  The diagonals, multipliers and full-length border
-vectors of the mass matrix and of every real shift are assembled,
-factorized and solved in place, each in its row of one (3, k, n - 1) array.
+blocks would cover it.
+
+The mass matrix and every real shift own one row of a (3, k, n - 1) array:
+its diagonal D and multipliers E are assembled and factorized in place in
+the first two planes, and the last entry of each E row, which T does not
+use, is zero.  So the D and E planes are one tridiagonal matrix whose
+blocks do not couple, and an apply solves all of them at once.  The
+full-length border vectors fill the leading rows of the third plane, in row
+order.  An apply takes the rows in blocks of at most ``_BLOCK_UNKNOWNS``
+unknowns: it computes the last unknown of every row of a block from its
+border vector and Schur pivot, fills the block with the head of r, patches
+the border positions in one indexed subtraction, solves with one ``pttrs``
+call and adds the weighted sum of the rows as one matrix-vector product.
 
 A complex conjugate pair shares one shift A - p M, which is complex
 symmetric: T is factorized by tridiagonal LU with partial pivoting
-(``gttrf``) and the border vector is solved on the whole of T.  SciPy's
-wrapper needs T of at least three unknowns, so a pair needs four.
+(``gttrf``) and the border vector is solved on the whole of T; every
+apply solves each pair on its own.  SciPy's wrapper needs T of at least
+three unknowns, so a pair needs four.
 """
 
 from __future__ import annotations
@@ -60,6 +71,9 @@ __all__ = [
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _LOG_TINY = math.log(_TINY)
+# Unknowns per stacked pttrs call of an apply (4 MB of right-hand sides): every
+# row of a ring up to 16384 cells, 4 rows at 131072 cells.
+_BLOCK_UNKNOWNS = 2 ** 19
 
 
 class FactorizationError(RuntimeError):
@@ -242,15 +256,21 @@ class RationalOperator:
     and one per real pole, LDL^T in rows of one buffer; one per conjugate
     pair, a complex LU, whose contribution is 2*Re(c*w) so the output stays
     real.  A pencil that is not tridiagonal apart from its last unknown, or
-    has fewer than three unknowns, raises ValueError.  A linear coefficient
-    c1 is realized as c1 * M^{-1} A y with y = M^{-1} r the mass solve the
-    constant term already needs, and costs nothing when c1 = 0.  Every real
-    pole is a definite shift, of A - p M or of p M - A, and a real pole for
-    which neither is definite lies on the spectrum and raises
-    FactorizationError.  Contributions are accumulated in place in ascending
-    |pole| order, which makes repeated applies bitwise reproducible.  A built
-    operator is immutable apart from its telemetry counters, so concurrent
-    applies are safe when the telemetry is not needed.
+    has fewer than three unknowns, raises ValueError.  Every real pole is a
+    definite shift, of A - p M or of p M - A, and a real pole for which
+    neither is definite lies on the spectrum and raises FactorizationError.
+
+    An apply solves the mass matrix and every real shift as one
+    block-diagonal tridiagonal system, one ``pttrs`` call per block of rows,
+    and sums each block's rows weighted by c0 and the residues in one
+    matrix-vector product; the mass row is skipped when c0 = c1 = 0.  A
+    linear coefficient c1 is realized as c1 * M^{-1} A y with y = M^{-1} r
+    the mass row's solution, and costs nothing when c1 = 0.  The conjugate
+    pairs are added last, in term order.  The summation order is fixed, so
+    repeated applies are bitwise reproducible.  Each apply allocates its own
+    right-hand sides, and a built operator is immutable apart from its
+    telemetry counters, so concurrent applies are safe when the telemetry is
+    not needed.
 
     The factorizations depend only on the pencil and the poles, the weights
     only on the residues: :meth:`reweighted` gives the operator of another
@@ -261,20 +281,25 @@ class RationalOperator:
     def __init__(self, pf, pencil):
         self.pf = pf
         self.pencil = pencil
-        poles, residues, pair = pf.terms
+        poles, _residues, pair = pf.terms
         bordered = _bordered_tridiagonal(pencil.A, pencil.M)
         if bordered is None:
             raise ValueError("a rational operator needs a pencil of at least three "
                              "unknowns that is tridiagonal once its last unknown is removed")
         index, (a_parts, m_parts) = bordered
         index, work = index.tolist(), np.empty(self.n)
-        # D, E and full-length W of the mass matrix and every real shift
+        # D, E and full-length W of the mass matrix and every real shift; the
+        # zero at the end of each E row uncouples the stacked rows.
         buffer = np.empty((3, 1 + np.count_nonzero(~pair), self.n - 1))
-        self.apply_count = 0
+        buffer[1, :, -1] = 0.0
+        rows = []  # the solvers of the buffer's rows
 
-        def definite(row, a_sign, m_coef, label):
+        def definite(a_sign, m_coef, label):
             """The LDL^T of a_sign * A + m_coef * M for a_sign in {0, 1, -1},
-            assembled into its buffer row."""
+            assembled into the next buffer row and appended to ``rows``; a
+            full-length border vector takes the next unused row of the third
+            plane."""
+            row = len(rows)
             pieces = []
             for a, m, out in zip(a_parts, m_parts,
                                  (buffer[0, row], buffer[1, row, :-1], None, None)):
@@ -284,15 +309,16 @@ class RationalOperator:
                 elif a_sign < 0:
                     x -= a
                 pieces.append(x)
-            return _BorderedTridiagonal(index, work, *pieces, buffer[2, row], label)
+            full = buffer[2, sum(len(s.w_blocks) == 1 for s in rows)]
+            rows.append(_BorderedTridiagonal(index, work, *pieces, full, label))
+            return rows[-1]
 
         tic = time.perf_counter()
         # The mass matrix, then one solver per term; the weight of a term is
         # its residue, negated where the solver factorizes p M - A.
-        self._solvers = [definite(0, 0, 1.0, "mass matrix")]
+        self._solvers = [definite(0, 1.0, "mass matrix")]
         self._negated = np.zeros(poles.size, dtype=bool)
         self.factor_seconds = [time.perf_counter() - tic]
-        row = 0
         for k, pole in enumerate(poles):
             tic = time.perf_counter()
             if pair[k]:
@@ -302,14 +328,13 @@ class RationalOperator:
             else:
                 pole = pole.real
                 label = f"pole {pole:.6e}"
-                row += 1
                 try:
-                    solver = definite(row, 1, -pole, label)
+                    solver = definite(1, -pole, label)
                 except FactorizationError as below:
                     if pole <= 0:
                         raise
                     try:
-                        solver = definite(row, -1, pole, label)
+                        solver = definite(-1, pole, label)
                     except FactorizationError:
                         raise FactorizationError(
                             f"{below}, nor is its negation: {label} lies on the spectrum"
@@ -317,8 +342,27 @@ class RationalOperator:
                     self._negated[k] = True
             self.factor_seconds.append(time.perf_counter() - tic)
             self._solvers.append(solver)
+        self._pairs = [s for s, p in zip(self._solvers[1:], pair) if p]
+        # What the stacked solve reads of the rows besides the buffer
+        self._buffer = buffer
+        self._index = np.array(index, dtype=np.intp)
+        self._border = np.array([[value for _i, value in s.border] for s in rows]).reshape(
+            len(rows), len(index))
+        self._pivots = np.array([s.s for s in rows])
+        self._full = np.array([len(s.w_blocks) == 1 for s in rows])
+        self._full_rows = np.concatenate(([0], np.cumsum(self._full)))
+        self._split = [(row, s.w_blocks) for row, s in enumerate(rows) if len(s.w_blocks) > 1]
+        self._weigh(pf)
+        self.apply_count = 0
+        self.apply_seconds = 0.0
+
+    def _weigh(self, pf):
+        """The weights of the terms of ``pf``, and of the buffer's rows (c0
+        for the mass row) and of the conjugate pairs."""
+        residues, pair = pf.terms[1:]
         self._weights = np.where(self._negated, -residues, residues)
-        self.shift_seconds = np.zeros(len(self._solvers))
+        self._row_weights = np.concatenate(([pf.c0], self._weights[~pair].real))
+        self._pair_weights = self._weights[pair]
 
     def reweighted(self, pf, pencil):
         """The operator of ``pf`` on ``pencil``, built from this operator's
@@ -332,17 +376,16 @@ class RationalOperator:
         would.  It shares the solvers and their factorization record
         (``factor_seconds``) and starts its own apply counters.
         """
-        poles, residues, _ = pf.terms
         if pencil is not self.pencil:
             raise ValueError("a reweighted operator needs the pencil it was factorized on")
         # The pair mask is derived from the poles, so it is equal with them.
-        if poles.tobytes() != self.pf.terms[0].tobytes():
+        if pf.terms[0].tobytes() != self.pf.terms[0].tobytes():
             raise ValueError("a reweighted form must have the poles of the factorized one")
         op = copy.copy(self)
         op.pf = pf
-        op._weights = np.where(self._negated, -residues, residues)
+        op._weigh(pf)
         op.apply_count = 0
-        op.shift_seconds = np.zeros(len(self._solvers))
+        op.apply_seconds = 0.0
         return op
 
     @property
@@ -358,44 +401,60 @@ class RationalOperator:
     def apply(self, r):
         """z = c0 M^{-1} r + c1 M^{-1} A M^{-1} r + sum_i c_i (A - p_i M)^{-1} r.
 
-        The output is real; ``shift_seconds[0]`` times the mass solves of the
-        constant and linear terms.
+        The output is real; ``apply_seconds`` accumulates the time spent here.
         """
         r = np.asarray(r, dtype=float)
         if r.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}")
         tic = time.perf_counter()
         c0, c1 = self.pf.c0, self.pf.c1
-        if c0 != 0.0 or c1 != 0.0:
-            y = self._solvers[0].solve(r)
-            z = c0 * y
-            if c1 != 0.0:
-                z += c1 * self._solvers[0].solve(self.pencil.A @ y)
-        else:
-            z = np.zeros_like(r)
-        self.shift_seconds[0] += time.perf_counter() - tic
-        pair = self.pf.terms[2]
-        for k, (solver, weight) in enumerate(zip(self._solvers[1:], self._weights)):
-            tic = time.perf_counter()
-            if pair[k]:
-                x = 2.0 * np.real(weight * solver.solve(r.astype(complex)))
-            else:
-                x = solver.solve(r)
-                x *= weight.real
-            z += x
-            self.shift_seconds[k + 1] += time.perf_counter() - tic
+        head = r[:-1]
+        m = head.size
+        z = np.zeros_like(r)
+        count = self._row_weights.size
+        first = 0 if c0 != 0.0 or c1 != 0.0 else 1
+        step = max(1, _BLOCK_UNKNOWNS // m)
+        x = np.empty((min(step, count - first), m))
+        for lo in range(first, count, step):
+            hi = min(lo + step, count)
+            block = x[:hi - lo]
+            # b.T^{-1} r = w.r because T is symmetric, so the last unknowns
+            # come first and the border only patches their few entries of the
+            # right-hand sides of the tridiagonal solve.
+            last = np.full(hi - lo, r[-1])
+            last[self._full[lo:hi]] -= np.vecdot(
+                self._buffer[2, self._full_rows[lo]:self._full_rows[hi]], head)
+            for row, w_blocks in self._split:
+                if lo <= row < hi:
+                    for start, w in w_blocks:
+                        last[row - lo] -= w @ head[start:start + w.size]
+            last /= self._pivots[lo:hi]
+            block[:] = head
+            block[:, self._index] -= last[:, None] * self._border[lo:hi]
+            dpttrs(self._buffer[0, lo:hi].reshape(-1), self._buffer[1, lo:hi].reshape(-1)[:-1],
+                   block.reshape(-1), overwrite_b=1)
+            weights = self._row_weights[lo:hi]
+            z[:-1] += weights @ block
+            z[-1] += weights @ last
+            if lo == 0 and c1 != 0.0:
+                y = np.append(block[0], last[0])
+        if c1 != 0.0:
+            z += c1 * self._solvers[0].solve(self.pencil.A @ y)
+        for solver, weight in zip(self._pairs, self._pair_weights):
+            z += 2.0 * np.real(weight * solver.solve(r.astype(complex)))
         self.apply_count += 1
+        self.apply_seconds += time.perf_counter() - tic
         return z
 
     @property
     def telemetry(self):
-        """Apply counters plus per-shift factorization time and stored factor
-        entries; the per-shift lists share the order of ``shift_seconds`` (the
-        mass matrix first)."""
+        """Apply counters and total apply time, plus per-shift factorization
+        time and stored factor entries, the mass matrix first and then one
+        entry per real pole or conjugate pair."""
         return {
             "apply_count": self.apply_count,
             "solves_per_apply": self.solves_per_apply,
-            "shift_seconds": self.shift_seconds.tolist(),
+            "apply_seconds": self.apply_seconds,
             "factor_seconds": list(self.factor_seconds),
             "factor_nnz": [int(s.nnz) for s in self._solvers],
         }

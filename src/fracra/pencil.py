@@ -233,14 +233,29 @@ def dense_eigendecomposition(pencil):
     return pencil._eig
 
 
+# Largest imaginary part, relative to the largest value, that a symbol's
+# values on the spectrum may carry and still be taken as real.  A conjugate
+# pair summed in complex arithmetic leaves rounding, a few eps times its
+# terms; a residue without its conjugate leaves a part of the size of its own
+# term.  sqrt(eps) ~ 1.5e-8 keeps about seven orders of magnitude from each.
+_IMAG_RTOL = float(np.sqrt(np.finfo(float).eps))
+
+
 def _values_on_spectrum(g, lam):
+    """The real values of g on the spectrum lam; ValueError if they are not
+    finite or carry an imaginary part above ``_IMAG_RTOL`` of the largest."""
     lam_max = max(float(lam.max()), 1.0)
     if float(lam.min()) < -1e-10 * lam_max:
         raise ValueError("pencil spectrum has a significantly negative eigenvalue")
-    vals = np.asarray(g(np.maximum(lam, 0.0)), dtype=float)
+    vals = np.asarray(g(np.maximum(lam, 0.0)))
     if vals.shape != lam.shape or not np.all(np.isfinite(vals)):
         raise ValueError("scalar function must be finite on the pencil spectrum")
-    return vals
+    if np.iscomplexobj(vals):
+        imag = float(np.max(np.abs(vals.imag), initial=0.0))
+        if imag > _IMAG_RTOL * float(np.max(np.abs(vals), initial=0.0)):
+            raise ValueError(f"scalar function is complex on the pencil spectrum "
+                             f"(imaginary part up to {imag:.3e})")
+    return np.asarray(vals.real, dtype=float)
 
 
 def dense_fractional_apply(pencil, g, r):

@@ -262,18 +262,92 @@ def test_determinism_bitwise():
     assert np.array_equal(op.apply(r), op2.apply(r))
 
 
+def _stacked_sum(weights, solutions):
+    """weights @ X of per-shift solutions, taken as the stacked apply takes it:
+    one product over the leading unknowns and one over the last, with
+    contiguous operands."""
+    weights = np.ascontiguousarray(weights)
+    heads = np.ascontiguousarray([x[:-1] for x in solutions])
+    lasts = np.array([x[-1] for x in solutions])
+    return np.append(weights @ heads, weights @ lasts)
+
+
 def test_apply_sums_the_terms_bitwise():
-    # Each real term's solution is scaled and added in place: bitwise
-    # z += weight * solve(r), term by term.  With no constant term no larger
-    # mass solve absorbs a last-bit difference of the terms.
+    # Every real shift is solved in one stacked pttrs call whose rows are
+    # bitwise the per-shift solves, and the terms are summed by one weighted
+    # product.  With no constant term no larger mass solve absorbs a last-bit
+    # difference of the terms.
     pencil = assemble_interface(64)
     pf = PartialFraction(0.0, [0.7, 1.9, -2.3], [-1.0, -40.0, 3.0 * pencil.rho_bound], 1e-12)
     op = RationalOperator(pf, pencil)
     r = np.random.default_rng(3).standard_normal(pencil.n_c)
-    want = np.zeros_like(r)
-    for solver, weight in zip(op._solvers[1:], op._weights):
-        want += weight.real * solver.solve(r)
+    want = _stacked_sum(op._weights.real, [solver.solve(r) for solver in op._solvers[1:]])
     assert np.array_equal(op.apply(r), want)
+
+
+def _poisoned_empty(monkeypatch):
+    """Fill every array np.empty returns with NaN bytes, so a read of an entry
+    nothing wrote shows in the result."""
+    real_empty = np.empty
+
+    def empty(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        out.view(np.uint8).fill(0xFF)
+        return out
+
+    monkeypatch.setattr(np, "empty", empty)
+
+
+def test_apply_in_several_blocks_matches_per_shift_solves(monkeypatch):
+    # Two rows per stacked pttrs call: the mass row and four real shifts of a
+    # 64-cell ring take three blocks, the last one partial.  Each block must
+    # stay uncoupled from its neighbours in the stack (the unused last
+    # multiplier of every row is zero), whatever the buffer held before.
+    _poisoned_empty(monkeypatch)
+    pencil = assemble_interface(64)
+    monkeypatch.setattr(operator_module, "_BLOCK_UNKNOWNS", 2 * (pencil.n_c - 1) + 1)
+    c, p = 0.5 + 0.25j, -3.0 + 2.0j
+    poles = [-1.0, p, np.conj(p), -40.0, -1e7, 3.0 * pencil.rho_bound]
+    residues = [0.7, c, np.conj(c), 1.9, 3e4, -2.3]
+    pf = PartialFraction(0.2, residues, poles, 1e-12, c1=1e-3)
+    op = RationalOperator(pf, pencil)
+    buffer = op._solvers[0].d.base
+    assert buffer.shape[1] == 5
+    assert not np.any(buffer[1, :, -1])
+    r = np.random.default_rng(16).standard_normal(pencil.n_c)
+    mass = op._solvers[0]
+    y = mass.solve(r)
+    want = 0.2 * y + 1e-3 * mass.solve(pencil.A @ y)
+    for solver, weight, pair in zip(op._solvers[1:], op._weights, pf.terms[2]):
+        if pair:
+            want += 2.0 * np.real(weight * solver.solve(r.astype(complex)))
+        else:
+            want += weight.real * solver.solve(r)
+    out = op.apply(r)
+    assert np.linalg.norm(out - want) <= 1e-14 * np.linalg.norm(want)
+    # the blocks reproduce the one-block apply up to the order of the sums
+    monkeypatch.setattr(operator_module, "_BLOCK_UNKNOWNS", 2 ** 19)
+    assert np.linalg.norm(op.apply(r) - out) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_ring_form_without_constant_term_matches_dense_spectral_apply(monkeypatch):
+    # c0 = 0 with c1 != 0 keeps the mass row in the stack at weight 0, for
+    # the linear term's first solve; a pole above the spectrum is factorized
+    # as p M - A and a conjugate pair is solved on its own.
+    _poisoned_empty(monkeypatch)
+    pencil = assemble_interface(64)
+    c, p = 0.5 + 0.25j, -3.0 + 2.0j
+    above = 3.0 * pencil.rho_bound
+    residues = [0.7, c, np.conj(c), 1.9, -2.3]
+    poles = [-1.0, p, np.conj(p), -40.0, above]
+    pf = PartialFraction(0.0, residues, poles, 1e-12, c1=2e-3)
+    op = RationalOperator(pf, pencil)
+    assert op._negated.tolist() == [False, False, False, True]
+    assert op.solves_per_apply == 6
+    r = np.random.default_rng(17).standard_normal(pencil.n_c)
+    symbol = lambda lam: 2e-3 * lam + sum(c / (lam - p) for c, p in zip(residues, poles))
+    ref = dense_inverse_fractional_apply(pencil, symbol, r)
+    assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_term_order_does_not_depend_on_input_order():
@@ -355,11 +429,16 @@ def test_apply_count_telemetry():
     assert op.apply_count == 2
     telemetry = op.telemetry
     assert telemetry["solves_per_apply"] == 2
-    # per shift, mass matrix first: apply time, factorization time and fill
-    for key in ("shift_seconds", "factor_seconds", "factor_nnz"):
+    # the total apply time, and per shift, mass matrix first, the
+    # factorization time and fill
+    assert "shift_seconds" not in telemetry
+    assert telemetry["apply_seconds"] > 0
+    for key in ("factor_seconds", "factor_nnz"):
         assert len(telemetry[key]) == 2
     assert all(t >= 0 for t in telemetry["factor_seconds"])
     assert all(nnz >= pencil.n_c for nnz in telemetry["factor_nnz"])
+    reweighted = op.reweighted(pf, pencil)
+    assert (reweighted.apply_count, reweighted.telemetry["apply_seconds"]) == (0, 0.0)
 
 
 def test_spd_audit_positive_operator():

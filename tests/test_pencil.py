@@ -163,6 +163,24 @@ def test_dense_inverse_special_cases():
     assert out == pytest.approx(np.linalg.solve(sq.A.toarray(), b), rel=1e-8)
 
 
+def test_complex_symbol_values_raise_unless_a_pair_rounds_away():
+    # c/(x - p) + conj(c)/(x - conj p) summed in complex arithmetic is real up
+    # to rounding and is taken as real; a residue without its conjugate
+    # leaves an imaginary part of the size of its term, which raises instead
+    # of being dropped.
+    p = assemble_interface(32)
+    b = np.random.default_rng(4).standard_normal(p.n_c)
+    c, q = 0.5 + 0.25j, -3.0 + 2.0j
+    paired = lambda lam: c / (lam - q) + np.conj(c) / (lam - np.conj(q))
+    real = lambda lam: 2.0 * np.real(c / (lam - q))
+    assert np.iscomplexobj(paired(np.linspace(1.0, 2.0, 3)))
+    for apply in (dense_fractional_apply, dense_inverse_fractional_apply):
+        want = apply(p, real, b)
+        assert np.linalg.norm(apply(p, paired, b) - want) <= 1e-14 * np.linalg.norm(want)
+        with pytest.raises(ValueError, match="complex on the pencil spectrum"):
+            apply(p, lambda lam: c / (lam - q), b)
+
+
 def test_eigendecomposition_residuals():
     for p in (assemble_interval(100, periodic=True), assemble_unit_square(12)):
         lam, u = dense_eigendecomposition(p)
