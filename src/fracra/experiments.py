@@ -221,7 +221,7 @@ def solve_interface(pencil, mu, K, tol_ra, tol_krylov=1e-10, method="minres", se
     closed-curve pencil for viscosity mu and permeability K.
 
     The Krylov solve stops after at most 500 iterations.  The solver
-    arguments are checked before the fit.  Returns
+    arguments, ``seed`` among them, are checked before the fit.  Returns
     ``(solution, SolveReport, PartialFraction, setup_seconds)`` where
     ``setup_seconds`` covers the fit of the mu = 1 target, pole extraction
     and the scaling by mu only (factorizations excluded).
@@ -229,10 +229,10 @@ def solve_interface(pencil, mu, K, tol_ra, tol_krylov=1e-10, method="minres", se
     if method not in ("minres", "pcg"):
         raise ValueError(f"unknown method {method!r}")
     _check_positive("tolerances", (tol_krylov,))
+    g = interface_rhs(pencil, seed)
     system = FourierInterfaceSystem(pencil, mu, K)
     pf, setup_seconds = _fit_preconditioner(pencil, mu, K, tol_ra)
     precond = RationalOperator(pf, pencil)
-    g = interface_rhs(pencil, seed)
     solver = minres if method == "minres" else pcg
     solution, report = solver(system, precond, g, tol=tol_krylov, stop="abs")
     return solution, report, pf, setup_seconds
@@ -247,13 +247,15 @@ def pole_sweep(tolerance=1e-12, exponents=EXPONENT_GRID, alphas=POLE_SWEEP_ALPHA
     beta) and (t, s, beta, alpha) do, share one fit through a ``fits`` dict
     made for this call and dropped when it returns; ``fit_reused`` marks a
     point that reused one, whose ``setup_seconds`` is the lookup and the
-    rescaling.  A tolerance that is not positive and finite, or a grid point
-    that is no valid :class:`FractionalSumFunction` (an exponent outside
-    [-1, 1], a negative weight, both weights zero), raises ValueError before
-    the grid; per-point failures are recorded in the record instead of
-    raised, so the grid is always fully enumerated.
+    rescaling.  A tolerance that is not positive and finite, a max_degree
+    below 1, or a grid point that is no valid :class:`FractionalSumFunction`
+    (an exponent outside [-1, 1], a negative weight, both weights zero),
+    raises ValueError before the grid; per-point failures are recorded in
+    the record instead of raised, so the grid is always fully enumerated.
     """
     _check_positive("tolerances", (tolerance,))
+    if max_degree < 1:
+        raise ValueError("max_degree must be at least 1")
     # Every point's function is built, and so checked, before any fit.
     funcs = [FractionalSumFunction(alpha, beta, s, t, 1.0)
              for s in exponents for t in exponents
@@ -298,13 +300,16 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
     :meth:`RationalOperator.reweighted`, which applies bitwise as a fresh
     build would.  Both dicts are made for this call and dropped when it
     returns.  ``fit_reused`` marks a point that reused a fit, whose
-    ``setup_seconds`` is the lookup and the rescalings.  The tolerances and
-    every mu and K are checked to be positive and finite, and each mesh's
-    pencil assembled, before the grid.
+    ``setup_seconds`` is the lookup and the rescalings.  The tolerances, mu
+    and K (positive and finite) and audit_trials (>= 1) are checked, and each
+    mesh's pencil and shared right-hand side built, before the grid.
     """
     _check_positive("tolerances", (tolerance, tol_krylov))
     _check_positive("mu and K", (*mu_grid, *K_grid))
+    if audit_trials < 1:
+        raise ValueError("audit_trials must be at least 1")
     pencils = {n_cells: assemble_interface(n_cells) for n_cells in mesh_grid}
+    rhs = {n_cells: interface_rhs(pencil, seed) for n_cells, pencil in pencils.items()}
     fits, shifts = {}, {}
     records = []
     for mu in mu_grid:
@@ -323,7 +328,7 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
                         precond = shifts[K, n_cells].reweighted(pf, pencil)
                     else:
                         precond = shifts[K, n_cells] = RationalOperator(pf, pencil)
-                    g = interface_rhs(pencil, seed)
+                    g = rhs[n_cells]
                     _, rep_minres = minres(system, precond, g, tol=tol_krylov, stop="abs")
                     _, rep_pcg = pcg(system, precond, g, tol=tol_krylov, stop="abs")
                     rec.fill_pf(pf)
@@ -349,9 +354,11 @@ def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
     ``solve_seconds`` is the MinRes ``SolveReport.wall_time``, the full Krylov
     loop including preconditioner applies.  Each timing is the best of
     ``repeats`` runs, so every repeat runs its own fit: this study passes no
-    ``fits`` dict.  The tolerances are checked before the grid.
+    ``fits`` dict.  The tolerances and repeats >= 1 are checked before the grid.
     """
     _check_positive("tolerances", (*tolerance_grid, tol_krylov))
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     pencils = {n: assemble_interface(n) for n in mesh_grid}
     # One fit window for the whole study keeps the setup cost comparable
     # across meshes; it must reach below the smallest scaled eigenvalue of the

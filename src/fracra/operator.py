@@ -37,10 +37,9 @@ use, is zero.  So the D and E planes are one tridiagonal matrix whose
 blocks do not couple, and an apply solves all of them at once.  The
 full-length border vectors fill the leading rows of the third plane, in row
 order.  An apply takes the rows in blocks of at most ``_BLOCK_UNKNOWNS``
-unknowns: it computes the last unknown of every row of a block from its
-border vector and Schur pivot, fills the block with the head of r, patches
-the border positions in one indexed subtraction, solves with one ``pttrs``
-call and adds the weighted sum of the rows as one matrix-vector product.
+unknowns, solves each block with one ``pttrs`` call and adds the weighted
+sum of its rows as one matrix-vector product; the linear term's second mass
+solve is a one-row call of the same solve.
 
 A complex conjugate pair shares one shift A - p M, which is complex
 symmetric: T is factorized by tridiagonal LU with partial pivoting
@@ -123,7 +122,7 @@ def _flush(x, work):
 
 
 class _BorderedTridiagonal:
-    """LDL^T of an SPD matrix [[T, b], [b^T, c]] with T tridiagonal.
+    """LDL^T of an SPD [[T, b], [b^T, c]], T tridiagonal: one row of the stacked solve.
 
     ``pttrf`` factorizes T = L D L^T in place in the given ``d`` and ``e``;
     the border is eliminated through w = T^{-1} b and the Schur pivot
@@ -189,28 +188,8 @@ class _BorderedTridiagonal:
         self.d, self.e, self.w_blocks, self.s = d, e, blocks, s
         self.nnz = m + e_nnz + w_nnz + 1  # pttrf succeeded, so D > 0
 
-    def solve(self, rhs):
-        # b.T^{-1} r = w.r because T is symmetric, so the last unknown comes
-        # first and the border only patches its few entries of the right-hand
-        # side of the one tridiagonal solve, which overwrites the contiguous
-        # head in place.
-        x = rhs.copy()
-        head = x[:-1]
-        last = x[-1]
-        for lo, w in self.w_blocks:
-            last -= w @ head[lo:lo + w.size]
-        last /= self.s
-        for i, value in self.border:
-            head[i] -= last * value
-        self._trs(head)
-        x[-1] = last
-        return x
 
-    def _trs(self, head):
-        dpttrs(self.d, self.e, head, overwrite_b=1)
-
-
-class _BorderedPair(_BorderedTridiagonal):
+class _BorderedPair:
     """LU of the complex symmetric shift [[T, b], [b^T, c]] = A - p M of a
     conjugate pair, with T tridiagonal.
 
@@ -235,18 +214,26 @@ class _BorderedPair(_BorderedTridiagonal):
         w = np.zeros(d.size, dtype=complex)
         for i, value in self.border:
             w[i] = value
-        self._trs(w)
+        zgttrs(*self.lu, w, overwrite_b=1)
         _flush(w.real, work)
         _flush(w.imag, work)
         s = complex(c[0] - sum(value * w[i] for i, value in self.border))
         if s == 0:
             raise FactorizationError(
                 f"shifted matrix for {label} is singular (Schur pivot 0)")
-        self.w_blocks, self.s = [(0, w)], s
+        self.w, self.s = w, s
         self.nnz = sum(int(np.count_nonzero(x)) for x in [*self.lu[:4], w]) + 1
 
-    def _trs(self, head):
+    def solve(self, r):
+        """(A - p M)^{-1} r of a real r, solved as a stacked row is, with ``gttrs``."""
+        x = r.astype(complex)
+        head = x[:-1]
+        last = (x[-1] - self.w @ head) / self.s
+        for i, value in self.border:
+            head[i] -= last * value
         zgttrs(*self.lu, head, overwrite_b=1)
+        x[-1] = last
+        return x
 
 
 class RationalOperator:
@@ -265,7 +252,8 @@ class RationalOperator:
     and sums each block's rows weighted by c0 and the residues in one
     matrix-vector product; the mass row is skipped when c0 = c1 = 0.  A
     linear coefficient c1 is realized as c1 * M^{-1} A y with y = M^{-1} r
-    the mass row's solution, and costs nothing when c1 = 0.  The conjugate
+    the mass row's solution, M^{-1} A y is a one-row call of the stacked
+    solve, and c1 = 0 costs nothing.  The conjugate
     pairs are added last, in term order.  The summation order is fixed, so
     repeated applies are bitwise reproducible.  Each apply allocates its own
     right-hand sides, and a built operator is immutable apart from its
@@ -346,8 +334,7 @@ class RationalOperator:
         # What the stacked solve reads of the rows besides the buffer
         self._buffer = buffer
         self._index = np.array(index, dtype=np.intp)
-        self._border = np.array([[value for _i, value in s.border] for s in rows]).reshape(
-            len(rows), len(index))
+        self._border = np.array([[value for _i, value in s.border] for s in rows])
         self._pivots = np.array([s.s for s in rows])
         self._full = np.array([len(s.w_blocks) == 1 for s in rows])
         self._full_rows = np.concatenate(([0], np.cumsum(self._full)))
@@ -408,43 +395,48 @@ class RationalOperator:
             raise ValueError(f"expected a vector of length {self.n}")
         tic = time.perf_counter()
         c0, c1 = self.pf.c0, self.pf.c1
-        head = r[:-1]
-        m = head.size
         z = np.zeros_like(r)
         count = self._row_weights.size
         first = 0 if c0 != 0.0 or c1 != 0.0 else 1
-        step = max(1, _BLOCK_UNKNOWNS // m)
-        x = np.empty((min(step, count - first), m))
+        step = max(1, _BLOCK_UNKNOWNS // (self.n - 1))
+        x = np.empty((min(step, count - first), self.n - 1))
         for lo in range(first, count, step):
             hi = min(lo + step, count)
             block = x[:hi - lo]
-            # b.T^{-1} r = w.r because T is symmetric, so the last unknowns
-            # come first and the border only patches their few entries of the
-            # right-hand sides of the tridiagonal solve.
-            last = np.full(hi - lo, r[-1])
-            last[self._full[lo:hi]] -= np.vecdot(
-                self._buffer[2, self._full_rows[lo]:self._full_rows[hi]], head)
-            for row, w_blocks in self._split:
-                if lo <= row < hi:
-                    for start, w in w_blocks:
-                        last[row - lo] -= w @ head[start:start + w.size]
-            last /= self._pivots[lo:hi]
-            block[:] = head
-            block[:, self._index] -= last[:, None] * self._border[lo:hi]
-            dpttrs(self._buffer[0, lo:hi].reshape(-1), self._buffer[1, lo:hi].reshape(-1)[:-1],
-                   block.reshape(-1), overwrite_b=1)
+            last = self._solve_rows(lo, hi, r, block)
             weights = self._row_weights[lo:hi]
             z[:-1] += weights @ block
             z[-1] += weights @ last
             if lo == 0 and c1 != 0.0:
-                y = np.append(block[0], last[0])
+                ay = self.pencil.A @ np.append(block[0], last[0])
         if c1 != 0.0:
-            z += c1 * self._solvers[0].solve(self.pencil.A @ y)
+            last = self._solve_rows(0, 1, ay, x[:1])
+            z += c1 * np.append(x[0], last)
         for solver, weight in zip(self._pairs, self._pair_weights):
-            z += 2.0 * np.real(weight * solver.solve(r.astype(complex)))
+            z += 2.0 * np.real(weight * solver.solve(r))
         self.apply_count += 1
         self.apply_seconds += time.perf_counter() - tic
         return z
+
+    def _solve_rows(self, lo, hi, r, block):
+        """Rows lo..hi of the stacked solve for r, their leading unknowns into
+        ``block``; returns their last unknowns, which come first (b.T^{-1} r =
+        w.r as T is symmetric), so the border only patches their few entries of
+        the right-hand sides of the one ``pttrs`` call."""
+        head = r[:-1]
+        last = np.full(hi - lo, r[-1])
+        last[self._full[lo:hi]] -= np.vecdot(
+            self._buffer[2, self._full_rows[lo]:self._full_rows[hi]], head)
+        for row, w_blocks in self._split:
+            if lo <= row < hi:
+                for start, w in w_blocks:
+                    last[row - lo] -= w @ head[start:start + w.size]
+        last /= self._pivots[lo:hi]
+        block[:] = head
+        block[:, self._index] -= last[:, None] * self._border[lo:hi]
+        dpttrs(self._buffer[0, lo:hi].reshape(-1), self._buffer[1, lo:hi].reshape(-1)[:-1],
+               block.reshape(-1), overwrite_b=1)
+        return last
 
     @property
     def telemetry(self):

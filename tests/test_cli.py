@@ -232,9 +232,16 @@ def test_sweep_invalid_tolerance_exits_2_without_csv(tmp_path, capsys, args):
      "mu and K must be positive and finite"),
     (["robustness", "--mus", "1", "--Ks", "0", "--meshes", "16"],
      "mu and K must be positive and finite"),
-], ids=["poles-exponent", "poles-alpha", "robustness-mu", "robustness-K"])
+    (["poles", "--max-degree", "0", "--exponents", "0", "--alphas", "1", "--betas", "1"],
+     "max_degree must be at least 1"),
+    (["robustness", "--seed", "-1", "--mus", "1", "--Ks", "1", "--meshes", "16"],
+     "expected non-negative integer"),
+    (["complexity", "--seed", "-1", "--meshes", "16"], "expected non-negative integer"),
+], ids=["poles-exponent", "poles-alpha", "robustness-mu", "robustness-K",
+        "poles-max-degree", "robustness-seed", "complexity-seed"])
 def test_sweep_invalid_grid_value_exits_2_without_csv(tmp_path, capsys, args, message):
-    # The grids are checked before the grid runs, as the tolerances are.
+    # The grids, the degree limit and the seed are checked before the grid
+    # runs, as the tolerances are.
     out = tmp_path / "sweep.csv"
     assert main(["sweep", *args, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err

@@ -414,3 +414,53 @@ def test_complexity_study_fits_every_repeat(monkeypatch):
     records = complexity_study(mesh_grid=(32, 64), tolerance_grid=(1e-8,), repeats=3)
     assert len(seen["fits"]) == len(seen["points"]) == 6
     assert all(r.fit_reused is None for r in records)
+
+
+def _no_fit(*_args, **_kwargs):
+    raise AssertionError("a fit ran")
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: pole_sweep(exponents=(0.0,), alphas=(1.0,), betas=(1.0,), max_degree=0),
+     "max_degree must be at least 1"),
+    (lambda: robustness_sweep(mu_grid=(1.0,), K_grid=(1.0,), mesh_grid=(16,), seed=-1),
+     "expected non-negative integer"),
+    (lambda: robustness_sweep(mu_grid=(1.0,), K_grid=(1.0,), mesh_grid=(16,),
+                              audit_trials=0),
+     "audit_trials must be at least 1"),
+    (lambda: complexity_study(mesh_grid=(16,), repeats=0), "repeats must be at least 1"),
+    (lambda: solve_interface(assemble_interface(16), 1.0, 1.0, tol_ra=1e-10, seed=-1),
+     "expected non-negative integer"),
+], ids=["poles-max-degree", "robustness-seed", "robustness-audit-trials",
+        "complexity-repeats", "solve-interface-seed"])
+def test_sweep_and_solve_arguments_are_checked_before_any_fit(run, message, monkeypatch):
+    # An invalid argument raises ValueError before the first fit, rather
+    # than failing every grid point on its own.
+    monkeypatch.setattr(experiments, "fit_fractional_sum", _no_fit)
+    monkeypatch.setattr(experiments, "fit_for_pencil", _no_fit)
+    with pytest.raises(ValueError, match=message):
+        run()
+
+
+def test_robustness_sweep_shares_one_rhs_per_mesh(monkeypatch):
+    # Each mesh's right-hand side is built once, before the grid, and read
+    # only: every record equals that of a one-point sweep, which builds its
+    # own.
+    built = []
+    real_rhs = experiments.interface_rhs
+
+    def read_only_rhs(pencil, seed):
+        built.append((pencil.n_c, seed))
+        g = real_rhs(pencil, seed)
+        g.flags.writeable = False
+        return g
+
+    monkeypatch.setattr(experiments, "interface_rhs", read_only_rhs)
+    records = robustness_sweep(mu_grid=(1e-2, 1.0), K_grid=(1e-6, 1e-4),
+                               mesh_grid=(32, 64), seed=3)
+    assert built == [(32, 3), (64, 3)]
+    assert len(records) == 8 and not any(r.failure for r in records)
+    for rec in records:
+        (alone,) = robustness_sweep(mu_grid=(rec.mu,), K_grid=(rec.K,),
+                                    mesh_grid=(rec.n_cells,), seed=3)
+        assert without_timings(alone) == without_timings(rec)

@@ -262,6 +262,13 @@ def test_determinism_bitwise():
     assert np.array_equal(op.apply(r), op2.apply(r))
 
 
+def _row_solve(op, row, r):
+    """Row ``row`` of the operator's stacked solve for r, as a one-row call."""
+    block = np.empty((1, op.n - 1))
+    last = op._solve_rows(row, row + 1, r, block)
+    return np.append(block[0], last[0])
+
+
 def _stacked_sum(weights, solutions):
     """weights @ X of per-shift solutions, taken as the stacked apply takes it:
     one product over the leading unknowns and one over the last, with
@@ -274,14 +281,14 @@ def _stacked_sum(weights, solutions):
 
 def test_apply_sums_the_terms_bitwise():
     # Every real shift is solved in one stacked pttrs call whose rows are
-    # bitwise the per-shift solves, and the terms are summed by one weighted
-    # product.  With no constant term no larger mass solve absorbs a last-bit
-    # difference of the terms.
+    # bitwise one-row calls of the same solve, and the terms are summed by
+    # one weighted product.  With no constant term no larger mass solve
+    # absorbs a last-bit difference of the terms.
     pencil = assemble_interface(64)
     pf = PartialFraction(0.0, [0.7, 1.9, -2.3], [-1.0, -40.0, 3.0 * pencil.rho_bound], 1e-12)
     op = RationalOperator(pf, pencil)
     r = np.random.default_rng(3).standard_normal(pencil.n_c)
-    want = _stacked_sum(op._weights.real, [solver.solve(r) for solver in op._solvers[1:]])
+    want = _stacked_sum(op._weights.real, [_row_solve(op, row, r) for row in (1, 2, 3)])
     assert np.array_equal(op.apply(r), want)
 
 
@@ -315,14 +322,15 @@ def test_apply_in_several_blocks_matches_per_shift_solves(monkeypatch):
     assert buffer.shape[1] == 5
     assert not np.any(buffer[1, :, -1])
     r = np.random.default_rng(16).standard_normal(pencil.n_c)
-    mass = op._solvers[0]
-    y = mass.solve(r)
-    want = 0.2 * y + 1e-3 * mass.solve(pencil.A @ y)
+    y = _row_solve(op, 0, r)
+    want = 0.2 * y + 1e-3 * _row_solve(op, 0, pencil.A @ y)
+    row = 0
     for solver, weight, pair in zip(op._solvers[1:], op._weights, pf.terms[2]):
         if pair:
-            want += 2.0 * np.real(weight * solver.solve(r.astype(complex)))
+            want += 2.0 * np.real(weight * solver.solve(r))
         else:
-            want += weight.real * solver.solve(r)
+            row += 1
+            want += weight.real * _row_solve(op, row, r)
     out = op.apply(r)
     assert np.linalg.norm(out - want) <= 1e-14 * np.linalg.norm(want)
     # the blocks reproduce the one-block apply up to the order of the sums
@@ -537,8 +545,9 @@ def test_negative_definite_pencil_reports_pole():
 
 def _stored_arrays(solver):
     """Every array a solver keeps for its solves."""
-    factor = solver.lu[:4] if hasattr(solver, "lu") else [solver.d, solver.e]
-    return [*factor, *(w for _lo, w in solver.w_blocks), np.array([solver.s])]
+    if hasattr(solver, "lu"):
+        return [*solver.lu[:4], solver.w, np.array([solver.s])]
+    return [solver.d, solver.e, *(w for _lo, w in solver.w_blocks), np.array([solver.s])]
 
 
 def _circulant_solve(n, pole, r):
@@ -605,6 +614,29 @@ def test_ring_shifts_match_circulant_fft_solve(pole, monkeypatch):
     ref = 2.0 * np.real(c * x) if isinstance(pole, complex) else x.real
     bound = 1e-12 if pole is None or abs(pole) >= 1e6 else 1e-7
     assert np.linalg.norm(op.apply(r) - ref) <= bound * np.linalg.norm(ref)
+
+
+def test_linear_term_with_end_block_rows_matches_circulant_fft_apply():
+    # c1 M^-1 A M^-1 r solves through the mass row twice; on a 4096-cell
+    # ring the mass row, and the p M - A row above rho_bound, store their
+    # border vectors as end blocks.  The exact FFT symbol of the whole form
+    # is c1 lam_A / lam_M^2 + sum c_i / (lam_A - p_i lam_M).
+    n = 4096
+    pencil = assemble_interface(n)
+    poles = [-1e6, 2.0 * pencil.rho_bound]
+    residues = [1e6, -2.3]
+    op = RationalOperator(PartialFraction(0.0, residues, poles, 1e-12, c1=1e-3), pencil)
+    assert op._negated.tolist() == [False, True]
+    assert len(op._solvers[0].w_blocks) == 2 and len(op._solvers[2].w_blocks) == 2
+    h = 1.0 / n
+    cos = np.cos(2.0 * np.pi * np.arange(n) / n)
+    lam_m = h * (4.0 + 2.0 * cos) / 6.0
+    lam_a = (2.0 - 2.0 * cos) / h + lam_m
+    symbol = 1e-3 * lam_a / lam_m ** 2 + sum(
+        c / (lam_a - p * lam_m) for c, p in zip(residues, poles))
+    r = np.random.default_rng(18).standard_normal(n)
+    ref = np.fft.ifft(np.fft.fft(r) * symbol).real
+    assert np.linalg.norm(op.apply(r) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_singular_ring_fails_at_the_schur_pivot():
@@ -704,8 +736,11 @@ def test_mid_coupled_border_takes_the_full_length_solve(monkeypatch):
     op = RationalOperator(pf, pencil)
     solvers = op._solvers
     assert len(solvers) == 5
-    for solver in solvers:
-        assert [(lo, w.size) for lo, w in solver.w_blocks] == [(0, n - 1)]
+    for solver, pair in zip(solvers, [False, *pf.terms[2]]):
+        if pair:
+            assert solver.w.size == n - 1
+        else:
+            assert [(lo, w.size) for lo, w in solver.w_blocks] == [(0, n - 1)]
     r = np.random.default_rng(15).standard_normal(n)
     symbol = lambda lam: np.real(0.5 + sum(c / (lam - p) for c, p in zip(residues, poles)))
     ref = dense_inverse_fractional_apply(pencil, symbol, r)
