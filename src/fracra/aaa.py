@@ -1,16 +1,17 @@
 """Greedy barycentric rational fitting and pole/residue conversion.
 
-The fitter picks support points where the current deviation is largest and
-solves for barycentric weights with the smallest singular vector of the
-(column-equilibrated) Loewner matrix restricted to the remaining samples.
-Each step rebuilds both matrices in buffers allocated once per fit, and the
-weights come from the SVD of the m x m R factor of the Loewner matrix, which
-LAPACK ``dgeqrf`` computes in place.  Fitted interpolants are converted to
-the partial fraction form ``c0 + c1*x + sum(c_i / (x - p_i))`` whose poles
-drive the shifted-solve operators in :mod:`fracra.operator`; the linear term
-carries a pole of the interpolant at infinity.  The coefficients are the
-least-squares fit of the interpolant on its grid in the Cauchy basis of the
-poles, solved by Householder QR.
+The fitter is one greedy pass: it picks support points where the current
+deviation is largest and solves for barycentric weights with the smallest
+singular vector of the column-equilibrated Loewner matrix restricted to the
+remaining samples.  Each step rebuilds both matrices in buffers allocated
+once per fit, and the weights come from one SVD, of the m x m R factor of
+the Loewner matrix, which LAPACK ``dgeqrf`` computes in place.  Fitted
+interpolants are converted to the partial fraction form
+``c0 + c1*x + sum(c_i / (x - p_i))`` whose poles drive the shifted-solve
+operators in :mod:`fracra.operator`; the linear term carries a pole of the
+interpolant at infinity.  The coefficients are the least-squares fit of the
+interpolant on its grid in the Cauchy basis of the poles, solved by
+Householder QR.
 """
 
 from __future__ import annotations
@@ -160,15 +161,14 @@ def aaa_fit(x, y, tolerance, max_degree=MAX_DEGREE):
     missed.
 
     Each step rebuilds the Cauchy and Loewner matrices on the remaining
-    samples, in row-major buffers allocated once per pass.  The weights are
+    samples, in row-major buffers allocated once per fit.  The weights are
     the last right singular vector of the m x m R factor of the
     column-equilibrated Loewner matrix, which has the singular values and
     right singular vectors of the tall matrix; its SVD needs no left singular
-    vectors.  R comes from LAPACK ``dgeqrf`` run in place on a column-major
-    copy, with its workspace sized once per pass.  If the equilibrated
-    pass misses the tolerance, a pass without equilibration runs and the
-    better of the two is kept.  The support points are returned in
-    ascending order.
+    vectors, and each step takes one.  R comes from LAPACK ``dgeqrf`` run in
+    place on a column-major copy, with its workspace sized once per fit.
+    The fit is one greedy pass, also when it misses the tolerance.  The
+    support points are returned in ascending order.
 
     A rank-deficient weight solve (the data is exactly rational of lower
     degree) is reported with a RuntimeWarning and the smallest singular vector
@@ -192,32 +192,6 @@ def aaa_fit(x, y, tolerance, max_degree=MAX_DEGREE):
     # The greedy stops only once the deviation is safely inside the tolerance,
     # but convergence is judged against the tolerance itself.
     target = STOP_SAFETY * tolerance
-
-    best, history = _greedy_pass(x, y, target, max_degree, equilibrate=True)
-    if best[3] > tolerance:
-        # Either weight solve can plateau a hair above the tolerance; the
-        # equilibrated one copes better with badly scaled Loewner columns and
-        # runs first, the plain one is the fallback.  Keep whichever pass got
-        # further.
-        best2, history2 = _greedy_pass(x, y, target, max_degree,
-                                       equilibrate=False)
-        if best2[3] < best[3]:
-            best, history = best2, history2
-
-    zj, fj, wj, err_best = best
-    return BarycentricForm(
-        zj,
-        fj,
-        wj,
-        err_best,
-        tolerance,
-        error_history=tuple(history),
-        grid=x,
-        grid_values=y,
-    )
-
-
-def _greedy_pass(x, y, target, max_degree, equilibrate):
     # The matrices of the remaining samples are rebuilt in buffers allocated
     # once (zeroed support rows would change the rounding of the BLAS sums).
     n = x.size
@@ -256,12 +230,9 @@ def _greedy_pass(x, y, target, max_degree, equilibrate):
         # factorizes it in place; its R factor keeps the singular values and
         # right singular vectors, and needs no U.
         scaled = scaled_buf[:rows * m].reshape(m, rows)
-        if equilibrate:
-            col_scale = np.sqrt(np.einsum("ij,ij->j", loewner, loewner))
-            col_scale[col_scale == 0.0] = 1.0
-            np.divide(loewner.T, col_scale[:, None], out=scaled)
-        else:
-            np.copyto(scaled, loewner.T)
+        col_scale = np.sqrt(np.einsum("ij,ij->j", loewner, loewner))
+        col_scale[col_scale == 0.0] = 1.0
+        np.divide(loewner.T, col_scale[:, None], out=scaled)
         if rows:  # none remain once every sample is a support point
             _, _, _, info = dgeqrf(scaled.T, lwork=lwork, overwrite_a=True)
             if info:
@@ -269,10 +240,8 @@ def _greedy_pass(x, y, target, max_degree, equilibrate):
         r = scaled.T[:min(rows, m)]
         r[below_diagonal[:r.shape[0], :m]] = 0.0
         _, sing, vh = np.linalg.svd(r)
-        wj = vh[-1, :]
-        if equilibrate:
-            wj = wj / col_scale
-            wj /= np.sqrt(wj.dot(wj))
+        wj = vh[-1, :] / col_scale
+        wj /= np.sqrt(wj.dot(wj))
         if not warned_degenerate and sing.size >= 2 and (
                 sing[-2] <= 1e-14 * max(sing[0], np.finfo(float).tiny)):
             warnings.warn(
@@ -293,7 +262,17 @@ def _greedy_pass(x, y, target, max_degree, equilibrate):
         if err <= target:
             break
 
-    return best, history
+    zj, fj, wj, err_best = best
+    return BarycentricForm(
+        zj,
+        fj,
+        wj,
+        err_best,
+        tolerance,
+        error_history=tuple(history),
+        grid=x,
+        grid_values=y,
+    )
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,9 @@ class FourierInterfaceSystem:
         self.n = pencil.n_c
 
     def apply(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected a vector of length {self.n}")
         return np.fft.irfft(self.eigenvalues * np.fft.rfft(x), self.n)
 
 

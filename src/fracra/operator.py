@@ -381,9 +381,10 @@ class RationalOperator:
 
     @property
     def solves_per_apply(self):
-        """Mass solve, a second one for a linear term, and one solve per real
-        pole or conjugate pair."""
-        return int(self.pf.c1 != 0.0) + len(self._solvers)
+        """Mass solve unless c0 = c1 = 0, a second one for a linear term, and
+        one solve per real pole or conjugate pair."""
+        c0, c1 = self.pf.c0, self.pf.c1
+        return int(c0 != 0.0 or c1 != 0.0) + int(c1 != 0.0) + len(self._solvers) - 1
 
     def apply(self, r):
         """z = c0 M^{-1} r + c1 M^{-1} A M^{-1} r + sum_i c_i (A - p_i M)^{-1} r.

@@ -141,6 +141,12 @@ def test_fourier_system_rejects_non_circulant_pencil():
             FourierInterfaceSystem(OperatorPencil(A, ring.M, 1), 1.0, 1.0)
 
 
+def test_fourier_system_rejects_wrong_length():
+    system = FourierInterfaceSystem(assemble_interface(65), 1.0, 1.0)
+    with pytest.raises(ValueError, match="expected a vector of length 65"):
+        system.apply(np.ones(64))
+
+
 def test_solve_interface_converges_quickly():
     pencil = assemble_interface(128)
     _, report, pf, setup = solve_interface(pencil, 1.0, 1.0, tol_ra=1e-12,

@@ -7,6 +7,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 import fracra.operator as operator_module
 from fracra.aaa import PartialFraction, fit_for_pencil
+from fracra.krylov import pcg
 from fracra.operator import (
     FactorizationError,
     RationalOperator,
@@ -474,6 +475,26 @@ def test_apply_rejects_wrong_length():
     op = RationalOperator(PartialFraction(1.0, [], [], 1e-12), pencil)
     with pytest.raises(ValueError):
         op.apply(np.ones(pencil.n_c + 1))
+
+
+def test_solve_count_leaves_out_a_mass_row_that_is_skipped(monkeypatch):
+    # With c0 = c1 = 0 the apply skips the mass row, so it solves one row per
+    # pole, and so do the count and the solve report of a Krylov loop.
+    pencil = assemble_interface(64)
+    op = RationalOperator(PartialFraction(0.0, [1.0, 2.0], [-1.0, -10.0], 1e-12), pencil)
+    real_dpttrs, rows = dpttrs, []
+
+    def counting_dpttrs(d, e, b, **kwargs):
+        rows.append(d.size // (pencil.n_c - 1))
+        return real_dpttrs(d, e, b, **kwargs)
+
+    monkeypatch.setattr(operator_module, "dpttrs", counting_dpttrs)
+    r = np.random.default_rng(5).standard_normal(pencil.n_c)
+    op.apply(r)
+    assert sum(rows) == op.solves_per_apply == 2
+    rows.clear()
+    _, report = pcg(pencil.A + pencil.M, op, r, tol=1e-6)
+    assert report.inner_solve_total == sum(rows) > 0
 
 
 def _no_sparse_lu(*_args, **_kwargs):
