@@ -334,8 +334,9 @@ class PartialFraction:
     pair in ascending |pole| order, their residues, and the mask of the
     pairs; it and ``pole_audit`` are derived from the poles at construction.
     So the form keeps read-only copies of ``poles``, ``residues`` and the
-    ``terms`` arrays, and reassigning ``poles`` or ``residues`` raises
-    AttributeError; :func:`dataclasses.replace` makes a new form instead.
+    ``terms`` arrays, and reassigning ``poles``, ``residues``, ``c0`` or
+    ``c1`` raises AttributeError; :func:`dataclasses.replace` makes a new
+    form instead.
     """
 
     c0: float
@@ -373,8 +374,9 @@ class PartialFraction:
         self.pole_audit = _audit_poles(p, self.terms[2])
 
     def __setattr__(self, name, value):
-        # terms and pole_audit are derived from the poles and residues.
-        if name in ("poles", "residues") and "terms" in self.__dict__:
+        # terms and pole_audit are derived from the poles and residues, and
+        # an operator's weights from the residues and c0.
+        if name in ("poles", "residues", "c0", "c1") and "terms" in self.__dict__:
             raise AttributeError(
                 f"{name} of a PartialFraction is fixed; use dataclasses.replace")
         super().__setattr__(name, value)

@@ -351,20 +351,18 @@ class RationalOperator:
         self._row_weights = np.concatenate(([pf.c0], self._weights[~pair].real))
         self._pair_weights = self._weights[pair]
 
-    def reweighted(self, pf, pencil):
-        """The operator of ``pf`` on ``pencil``, built from this operator's
+    def reweighted(self, pf):
+        """The operator of ``pf`` on this operator's pencil, built from its
         factorizations without refactorizing.
 
-        ``pencil`` must be this operator's pencil (the same object) and the
-        poles of ``pf.terms`` bitwise equal to this operator's, and so their
-        pair mask, else ValueError; only c0, c1 and the residues may differ.
-        The new operator negates the residues of the poles factorized as
-        p M - A here, so it applies bitwise as ``RationalOperator(pf, pencil)``
-        would.  It shares the solvers and their factorization record
-        (``factor_seconds``) and starts its own apply counters.
+        The poles of ``pf.terms`` must be bitwise equal to this operator's,
+        and so their pair mask, else ValueError; only c0, c1 and the residues
+        may differ.  The new operator negates the residues of the poles
+        factorized as p M - A here, so it applies bitwise as
+        ``RationalOperator(pf, self.pencil)`` would.  It shares the pencil,
+        the solvers and their factorization record (``factor_seconds``) and
+        starts its own apply counters.
         """
-        if pencil is not self.pencil:
-            raise ValueError("a reweighted operator needs the pencil it was factorized on")
         # The pair mask is derived from the poles, so it is equal with them.
         if pf.terms[0].tobytes() != self.pf.terms[0].tobytes():
             raise ValueError("a reweighted form must have the poles of the factorized one")

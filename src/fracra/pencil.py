@@ -50,16 +50,13 @@ class OperatorPencil:
     d(d+1) * max(1/diag(M)) * max row sum of |A|, which bounds the largest
     generalized eigenvalue of (A, M) for P1 mass matrices and sets the fit
     interval of the rational approximants; a mass matrix with a nonpositive
-    diagonal entry is rejected.  The dense eigendecomposition is cached on
-    first use; otherwise the pencil is immutable, so it may be shared across
-    threads once that is cached.
+    diagonal entry is rejected.
     """
 
     A: sp.csr_matrix
     M: sp.csr_matrix
     spatial_dimension: int
     rho_bound: float = field(init=False)
-    _eig: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.A, self.M = (_canonical(sp.csr_matrix(mat)) for mat in (self.A, self.M))
@@ -221,16 +218,12 @@ def _check_dense_cap(pencil):
 
 
 def dense_eigendecomposition(pencil):
-    """Full generalized eigendecomposition A U = M U diag(lam), U^T M U = I.
-
-    Cached on the pencil.  Raises DenseCapExceededError beyond
+    """Full generalized eigendecomposition A U = M U diag(lam), U^T M U = I,
+    as ``(lam, U)``.  Raises DenseCapExceededError beyond
     ``DENSE_CAP_DEFAULT`` unknowns.
     """
     _check_dense_cap(pencil)
-    if pencil._eig is None:
-        lam, u = scipy.linalg.eigh(pencil.A.toarray(), pencil.M.toarray())
-        pencil._eig = (lam, u)
-    return pencil._eig
+    return scipy.linalg.eigh(pencil.A.toarray(), pencil.M.toarray())
 
 
 # Largest imaginary part, relative to the largest value, that a symbol's

@@ -739,6 +739,19 @@ def test_partial_fraction_poles_and_residues_cannot_go_stale():
     assert eval_pf(pf, 1.0) == 0.5
 
 
+def test_partial_fraction_c0_and_c1_are_fixed():
+    # An operator holds c0 in its row weights and reads c1 from the form, so
+    # a later assignment to either would reach one and not the other.
+    pf = PartialFraction(0.25, [1.0], [-1.0], 1e-12, c1=0.5)
+    for name in ("c0", "c1"):
+        with pytest.raises(AttributeError, match=f"{name} of a PartialFraction is fixed"):
+            setattr(pf, name, 3.0)
+    assert (pf.c0, pf.c1) == (0.25, 0.5)
+    moved = replace(pf, c0=1.0, c1=2.0)
+    assert (moved.c0, moved.c1) == (1.0, 2.0)
+    assert eval_pf(moved, 1.0) == 1.0 + 2.0 + 0.5
+
+
 def counted_fits(monkeypatch):
     """Record the samples of every aaa_fit call through fracra.aaa."""
     calls = []

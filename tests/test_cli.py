@@ -11,6 +11,8 @@ import fracra.experiments as experiments
 from fracra.aaa import PoleExtractionError
 from fracra.cli import main
 from fracra.functions import FractionalSumFunction
+from fracra.pencil import (assemble_interface, assemble_interval, assemble_unit_square,
+                           load_pencil)
 
 FIT_ARGS = ["fit", "--alpha", "1", "--beta", "1", "--s", "-0.5", "--t", "0.5",
             "--tol", "1e-12"]
@@ -248,12 +250,23 @@ def test_sweep_invalid_grid_value_exits_2_without_csv(tmp_path, capsys, args, me
     assert not out.exists()
 
 
-def test_pencil_export(tmp_path, capsys):
+@pytest.mark.parametrize("kind, assemble, n_c, dimension", [
+    ("dirichlet", lambda n: assemble_interval(n, periodic=False), 15, 1),
+    ("periodic", lambda n: assemble_interval(n, periodic=True), 16, 1),
+    ("interface", assemble_interface, 16, 1),
+    ("square", assemble_unit_square, 15 * 15, 2),
+], ids=["dirichlet", "periodic", "interface", "square"])
+def test_pencil_export(tmp_path, capsys, kind, assemble, n_c, dimension):
     prefix = tmp_path / "mesh"
-    code = main(["pencil", "--kind", "interface", "--cells", "16",
+    code = main(["pencil", "--kind", kind, "--cells", "16",
                  "--out-prefix", str(prefix)])
     assert code == 0
     assert (tmp_path / "mesh.A.mtx").exists()
     assert (tmp_path / "mesh.M.mtx").exists()
+    rho = assemble(16).rho_bound
+    assert f"(n_c={n_c}, rho_bound={rho:.6e})" in capsys.readouterr().out
     meta = json.loads((tmp_path / "mesh.json").read_text())
-    assert meta["spatial_dimension"] == 1
+    assert meta["spatial_dimension"] == dimension
+    assert meta["rho_bound"] == rho
+    pencil = load_pencil(prefix)
+    assert (pencil.n_c, pencil.spatial_dimension) == (n_c, dimension)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import fracra.aaa as aaa
 import fracra.experiments as experiments
+from fracra.cli import main
 from fracra.experiments import (
     ROBUSTNESS_KS,
     ROBUSTNESS_MUS,
@@ -21,6 +23,7 @@ from fracra.experiments import (
     write_sweep_csv,
     write_sweep_summary,
 )
+from fracra.operator import FactorizationError
 from fracra.pencil import (
     DenseCapExceededError,
     OperatorPencil,
@@ -470,3 +473,66 @@ def test_robustness_sweep_shares_one_rhs_per_mesh(monkeypatch):
         (alone,) = robustness_sweep(mu_grid=(rec.mu,), K_grid=(rec.K,),
                                     mesh_grid=(rec.n_cells,), seed=3)
         assert without_timings(alone) == without_timings(rec)
+
+
+def _nth_call(n):
+    """A predicate that is true on its n-th call only."""
+    calls = itertools.count(1)
+    return lambda *_args, **_kwargs: next(calls) == n
+
+
+@pytest.mark.parametrize("name, fails, error, run, kwargs, failed, cli_args", [
+    # The point (s, t) = (0.5, 0) of the pole atlas.
+    ("fit_fractional_sum", lambda: lambda func, *_a, **_k: (func.s, func.t) == (0.5, 0.0),
+     np.linalg.LinAlgError("SVD did not converge"), pole_sweep,
+     dict(tolerance=1e-10, exponents=(0.0, 0.5), alphas=(1.0,), betas=(1e-2,)), 2,
+     ["poles", "--tol", "1e-10", "--exponents", "0,0.5", "--alphas", "1", "--betas", "0.01"]),
+    # The first build on the 64-cell mesh, at mu = 1e-2: the point at mu = 1
+    # on that mesh then builds its own shifts.
+    ("RationalOperator", lambda: _nth_call(2),
+     FactorizationError("pole -1.0 is not definite"), robustness_sweep,
+     dict(mu_grid=(1e-2, 1.0), K_grid=(1e-4,), mesh_grid=(32, 64)), 1,
+     ["robustness", "--mus", "0.01,1", "--Ks", "1e-4", "--meshes", "32,64"]),
+    # Every fit on the 64-cell mesh.
+    ("fit_for_pencil", lambda: lambda *args, **_k: args[4].n_c == 64,
+     np.linalg.LinAlgError("SVD did not converge"), complexity_study,
+     dict(mesh_grid=(32, 64), tolerance_grid=(1e-8,), repeats=1), 1,
+     ["complexity", "--meshes", "32,64", "--tols", "1e-8"]),
+], ids=["poles", "robustness", "complexity"])
+def test_sweep_records_a_failed_point_and_goes_on(monkeypatch, tmp_path, capsys, name, fails,
+                                                  error, run, kwargs, failed, cli_args):
+    # A numerical error at one grid point is that point's failure: every other
+    # record equals the clean sweep's, the failed row leaves its unset cells
+    # empty, and the command line exits 3.
+    clean = run(**kwargs)
+    real = getattr(experiments, name)
+
+    def inject(fails):
+        def call(*args, **kwargs):
+            if fails(*args, **kwargs):
+                raise error
+            return real(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, call)
+
+    inject(fails())
+    records = run(**kwargs)
+    assert [bool(r.failure) for r in records] == [i == failed for i in range(len(clean))]
+    assert records[failed].failure == f"{type(error).__name__}: {error}"
+    for i, (rec, want) in enumerate(zip(records, clean)):
+        if i != failed:
+            assert without_timings(rec) == without_timings(want)
+    rec = records[failed]
+    assert rec.n_poles is None and rec.setup_seconds is None
+    for key, value in dataclasses.asdict(rec).items():
+        assert value is None or value == getattr(clean[failed], key) or key == "failure"
+
+    out = tmp_path / "sweep.csv"
+    write_sweep_csv(records, out)
+    with open(out, newline="") as handle:
+        row = list(csv.DictReader(handle))[failed]
+    assert row["failure"] == rec.failure
+    assert all((row[key] == "") == (getattr(rec, key) is None) for key in row)
+
+    inject(fails())
+    assert main(["sweep", *cli_args, "--out", str(out)]) == 3
+    assert f"({len(clean)} rows, 1 failures)" in capsys.readouterr().out

@@ -398,7 +398,7 @@ def test_reweighted_operator_applies_as_a_fresh_build(make, form, negated):
     pencil = make()
     op = RationalOperator(form(pencil, 1.0), pencil)
     pf = form(pencil, -7.3e-3)
-    reweighted = op.reweighted(pf, pencil)
+    reweighted = op.reweighted(pf)
     fresh = RationalOperator(pf, pencil)
     assert np.array_equal(fresh._weights, np.where(negated, -1, 1) * pf.terms[1])
     assert all(a is b for a, b in zip(reweighted._solvers, op._solvers))
@@ -407,9 +407,10 @@ def test_reweighted_operator_applies_as_a_fresh_build(make, form, negated):
     assert np.array_equal(reweighted.apply(r), fresh.apply(r))
     assert (reweighted.apply_count, op.apply_count) == (1, 0)
     assert reweighted.pf is pf and op.pf is not pf
+    assert reweighted.pencil is pencil
 
 
-def test_reweighted_operator_needs_its_poles_and_pencil():
+def test_reweighted_operator_needs_its_poles():
     pencil = assemble_interface(64)
     op = RationalOperator(_ring_form(pencil, 1.0), pencil)
     c, p = 0.5 + 0.25j, -3.0 + 2.0j
@@ -423,9 +424,7 @@ def test_reweighted_operator_needs_its_poles_and_pencil():
     ]
     for pf in others:
         with pytest.raises(ValueError, match="poles"):
-            op.reweighted(pf, pencil)
-    with pytest.raises(ValueError, match="pencil"):
-        op.reweighted(_ring_form(pencil, 2.0), assemble_interface(64))
+            op.reweighted(pf)
 
 
 def test_apply_count_telemetry():
@@ -446,7 +445,7 @@ def test_apply_count_telemetry():
         assert len(telemetry[key]) == 2
     assert all(t >= 0 for t in telemetry["factor_seconds"])
     assert all(nnz >= pencil.n_c for nnz in telemetry["factor_nnz"])
-    reweighted = op.reweighted(pf, pencil)
+    reweighted = op.reweighted(pf)
     assert (reweighted.apply_count, reweighted.telemetry["apply_seconds"]) == (0, 0.0)
 
 

@@ -238,7 +238,6 @@ def test_dense_cap():
     p = assemble_interface(2001)
     with pytest.raises(DenseCapExceededError, match="2001 unknowns, dense cap is 2000"):
         dense_eigendecomposition(p)
-    assert p._eig is None
 
 
 def test_matrix_market_round_trip(tmp_path):
