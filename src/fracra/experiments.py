@@ -158,8 +158,7 @@ class FourierInterfaceSystem:
     """
 
     def __init__(self, pencil, mu, K):
-        if not (0 < mu < math.inf and 0 < K < math.inf):
-            raise ValueError("mu and K must be positive and finite")
+        _check_positive("mu and K", (mu, K))
         a, m = _circulant_symbol(pencil.A), _circulant_symbol(pencil.M)
         if np.any(a <= 0) or np.any(m <= 0):
             raise ValueError("pencil is not definite")
@@ -204,17 +203,18 @@ def _check_positive(name, values):
         raise ValueError(f"{name} must be positive and finite: {tuple(values)}")
 
 
-def _fit_preconditioner(pencil, mu, K, tol_ra, fits=None):
+def _fit_preconditioner(pencil, mu, K, tol_ra, fits=None, floor_ratio=None):
     """Fit the reciprocal interface symbol mu / (x^-1/2 + K x^1/2).
 
     Viscosity is an exact scale of the symbol, so the mu = 1 target is
     fitted and c0, c1 and the residues are multiplied by mu: every mu on one
     (K, pencil) gets the poles of one fit.  Returns ``(pf, fit_seconds)``;
-    the time covers the fit, pole extraction and the scaling.  ``fits`` is
-    passed on to :func:`fit_for_pencil`.
+    the time covers the fit, pole extraction and the scaling.  ``fits`` and
+    ``floor_ratio`` are passed on to :func:`fit_for_pencil`.
     """
     tic = time.perf_counter()
-    pf = fit_for_pencil(1.0, K, -0.5, 0.5, pencil, tol_ra, fits=fits)
+    pf = fit_for_pencil(1.0, K, -0.5, 0.5, pencil, tol_ra, floor_ratio=floor_ratio,
+                        fits=fits)
     pf = replace(pf, c0=mu * pf.c0, c1=mu * pf.c1, residues=mu * pf.residues)
     return pf, time.perf_counter() - tic
 
@@ -302,10 +302,11 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
     first point factorizes, and every later one takes
     :meth:`RationalOperator.reweighted`, which applies bitwise as a fresh
     build would.  Both dicts are made for this call and dropped when it
-    returns.  ``fit_reused`` marks a point that reused a fit, whose
-    ``setup_seconds`` is the lookup and the rescalings.  The tolerances, mu
-    and K (positive and finite) and audit_trials (>= 1) are checked, and each
-    mesh's pencil and shared right-hand side built, before the grid.
+    returns.  ``setup_seconds`` times the fit, pole extraction and scaling
+    by mu, or for a point marked ``fit_reused`` the lookup and rescalings;
+    it and the fit's columns are recorded before the build.  The tolerances,
+    mu and K (positive and finite) and audit_trials (>= 1) are checked, and
+    each mesh's pencil and shared right-hand side built, before the grid.
     """
     _check_positive("tolerances", (tolerance, tol_krylov))
     _check_positive("mu and K", (*mu_grid, *K_grid))
@@ -325,8 +326,9 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
                 try:
                     system = build_interface_system_dense(pencil, mu, K)
                     size = len(fits)
-                    pf, setup = _fit_preconditioner(pencil, mu, K, tolerance, fits)
-                    reused = len(fits) == size
+                    pf, rec.setup_seconds = _fit_preconditioner(pencil, mu, K, tolerance, fits)
+                    rec.fit_reused = len(fits) == size
+                    rec.fill_pf(pf)
                     if (K, n_cells) in shifts:
                         precond = shifts[K, n_cells].reweighted(pf)
                     else:
@@ -334,9 +336,6 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
                     g = rhs[n_cells]
                     _, rep_minres = minres(system, precond, g, tol=tol_krylov, stop="abs")
                     _, rep_pcg = pcg(system, precond, g, tol=tol_krylov, stop="abs")
-                    rec.fill_pf(pf)
-                    rec.setup_seconds = setup
-                    rec.fit_reused = reused
                     rec.solve_seconds = rep_minres.wall_time
                     rec.iterations_minres = rep_minres.iterations
                     rec.iterations_pcg = rep_pcg.iterations
@@ -353,8 +352,10 @@ def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
     """Time the fit setup and the preconditioned solve across mesh doublings.
 
     MinRes runs to the absolute tolerance 1e-10 in at most 500 iterations,
-    each two real FFTs (the exact system) plus O(n) shifted solves;
-    ``setup_seconds`` covers the fit and pole extraction only and
+    each two real FFTs (the exact system) plus O(n) shifted solves.  Each
+    repeat fits the mu = 1 target and scales it by mu, so the forms do not
+    depend on mu; ``setup_seconds`` covers the fit, pole extraction and the
+    scaling, and is recorded with the fit's columns before the build.
     ``solve_seconds`` is the MinRes ``SolveReport.wall_time``, the full Krylov
     loop including preconditioner applies.  Each timing is the best of
     ``repeats`` runs, so every repeat runs its own fit: this study passes no
@@ -377,20 +378,17 @@ def complexity_study(mesh_grid=COMPLEXITY_MESHES, tolerance_grid=(1e-12,),
             rec = SweepRecord(kind="complexity", mu=mu, K=K, n_cells=n_cells,
                               n_c=pencil.n_c, tolerance=tol)
             try:
-                setup_times = []
-                for _ in range(repeats):
-                    tic = time.perf_counter()
-                    pf = fit_for_pencil(1.0 / mu, K / mu, -0.5, 0.5, pencil, tol,
-                                        floor_ratio=floor)
-                    setup_times.append(time.perf_counter() - tic)
-                rec.setup_seconds = min(setup_times)
+                timed = [_fit_preconditioner(pencil, mu, K, tol, floor_ratio=floor)
+                         for _ in range(repeats)]
+                pf = timed[-1][0]
+                rec.fill_pf(pf)
+                rec.setup_seconds = min(seconds for _pf, seconds in timed)
                 precond = RationalOperator(pf, pencil)
                 reports = [minres(system, precond, g, tol=1e-10, stop="abs")[1]
                            for _ in range(repeats)]
                 rec.solve_seconds = min(r.wall_time for r in reports)
                 rec.iterations_minres = reports[-1].iterations
                 rec.converged = reports[-1].converged
-                rec.fill_pf(pf)
             except Exception as exc:
                 rec.failure = f"{type(exc).__name__}: {exc}"
             records.append(rec)

@@ -425,6 +425,34 @@ def test_complexity_study_fits_every_repeat(monkeypatch):
     assert all(r.fit_reused is None for r in records)
 
 
+# The record columns a point's fit decides.
+FIT_COLUMNS = ("n_poles", "achieved_error", "pf_error", "real_negative", "real_zero",
+               "real_positive", "complex_pair")
+
+
+# The K = 1 fit on 32 cells warns of a rank-deficient weight solve.
+@pytest.mark.filterwarnings("ignore:rank-deficient barycentric weight solve")
+def test_complexity_study_fits_the_interface_preconditioner():
+    # The study's form is the one solve_interface and robustness_sweep apply:
+    # the mu = 1 target, scaled by mu.
+    (rec,) = complexity_study(mesh_grid=(32,), mu=1e-4, K=1.0, repeats=1)
+    pf, _ = experiments._fit_preconditioner(assemble_interface(32), 1e-4, 1.0, 1e-12)
+    assert not rec.failure
+    assert (rec.n_poles, rec.achieved_error, rec.pf_error) == (
+        pf.degree, pf.fit_error, pf.validation_error)
+
+
+@pytest.mark.filterwarnings("ignore:rank-deficient barycentric weight solve")
+@pytest.mark.parametrize("K", [1e-6, 1.0])
+def test_complexity_study_forms_do_not_depend_on_viscosity(K):
+    # mu scales the target exactly, so every mu gets the columns of one fit.
+    columns = [[tuple(getattr(rec, key) for key in FIT_COLUMNS) for rec in
+                complexity_study(mesh_grid=(32, 64), mu=mu, K=K, repeats=1)]
+               for mu in ROBUSTNESS_MUS]
+    assert all(None not in row for row in columns[0])
+    assert all(study == columns[0] for study in columns)
+
+
 def _no_fit(*_args, **_kwargs):
     raise AssertionError("a fit ran")
 
@@ -498,12 +526,18 @@ def _nth_call(n):
      np.linalg.LinAlgError("SVD did not converge"), complexity_study,
      dict(mesh_grid=(32, 64), tolerance_grid=(1e-8,), repeats=1), 1,
      ["complexity", "--meshes", "32,64", "--tols", "1e-8"]),
-], ids=["poles", "robustness", "complexity"])
+    # The build on the 64-cell mesh, after its fit returned.
+    ("RationalOperator", lambda: lambda _pf, pencil: pencil.n_c == 64,
+     FactorizationError("pole -1.0 is not definite"), complexity_study,
+     dict(mesh_grid=(32, 64), tolerance_grid=(1e-8,), repeats=1), 1,
+     ["complexity", "--meshes", "32,64", "--tols", "1e-8"]),
+], ids=["poles", "robustness", "complexity", "complexity-build"])
 def test_sweep_records_a_failed_point_and_goes_on(monkeypatch, tmp_path, capsys, name, fails,
                                                   error, run, kwargs, failed, cli_args):
     # A numerical error at one grid point is that point's failure: every other
     # record equals the clean sweep's, the failed row leaves its unset cells
-    # empty, and the command line exits 3.
+    # empty, and the command line exits 3.  A point whose build raised keeps
+    # what its fit recorded.
     clean = run(**kwargs)
     real = getattr(experiments, name)
 
@@ -522,9 +556,17 @@ def test_sweep_records_a_failed_point_and_goes_on(monkeypatch, tmp_path, capsys,
         if i != failed:
             assert without_timings(rec) == without_timings(want)
     rec = records[failed]
-    assert rec.n_poles is None and rec.setup_seconds is None
+    assert rec.iterations_minres is None and rec.solve_seconds is None
+    if name == "RationalOperator":
+        for key in FIT_COLUMNS:
+            assert getattr(rec, key) is not None
+            assert getattr(rec, key) == getattr(clean[failed], key)
+        assert rec.setup_seconds > 0
+    else:
+        assert rec.n_poles is None and rec.setup_seconds is None
     for key, value in dataclasses.asdict(rec).items():
-        assert value is None or value == getattr(clean[failed], key) or key == "failure"
+        assert (value is None or value == getattr(clean[failed], key)
+                or key in ("failure", "setup_seconds"))
 
     out = tmp_path / "sweep.csv"
     write_sweep_csv(records, out)

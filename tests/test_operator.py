@@ -717,6 +717,12 @@ def test_border_blocks_match_full_length_solve(n, pole, scale):
         # |E| = 0.99 and above: the first blocks already reach past the
         # middle, so w is solved on all of T.
         assert [(lo, block.size) for lo, block in solver.w_blocks] == [(0, m)]
+    first = {4096: {None: 539, -1e7: 895, -1e9: 476},
+             131072: {None: 539, -1e7: 29363, -1e9: 2931}}[n]
+    if pole in first:
+        # The unscaled w fits the first block size; the scaled one doubles it once.
+        k = first[pole] if scale == 1.0 else 2 * first[pole]
+        assert [(lo, block.size) for lo, block in solver.w_blocks] == [(0, k), (m - k, k)]
 
 
 def test_multipliers_below_tiny_are_flushed():
