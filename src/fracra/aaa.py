@@ -719,29 +719,35 @@ def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=FIT_SAM
     the normalized target; ``validation_error`` is the larger of the two
     deviations, so ``converged`` also judges the form between its samples.
 
-    ``fits``, a dict the caller holds, reuses converted forms across calls:
-    it maps the SHA-256 digest of the normalized samples, with ``tolerance``
-    and ``max_degree``, to the validated normalized form before the
-    rescalings.  A call whose samples are already in it skips the fit, the
-    conversion and the midpoint check, and one that fits adds its form;
-    either way the rescalings give the caller a new form, bitwise equal to a
-    fresh fit's.
+    ``fits``, a dict the caller holds, reuses converted forms across calls.
+    A fit that runs stores the validated normalized form, before the
+    rescalings, under two keys: its call ``(func, tolerance, max_degree,
+    n_samples, floor_ratio)``, which fixes the samples, and the SHA-256
+    digest of the normalized samples with ``tolerance`` and ``max_degree``.
+    A repeated call finds its form without sampling; another call whose
+    samples are already in the dict finds it by the digest and stores
+    nothing.  Either hit skips the fit, the conversion and the midpoint
+    check, so the dict grows exactly when a fit runs, and the rescalings
+    give the caller a new form, bitwise equal to a fresh fit's.
     """
-    unit = to_unit_interval(func)
-    norm = normalize(unit)
-    xs, ys = sample_grid(norm.scaled, n_samples, floor_ratio)
+    norm = normalize(to_unit_interval(func))
     fits = {} if fits is None else fits
-    key = (hashlib.sha256(xs.tobytes() + ys.tobytes()).digest(), tolerance, max_degree)
-    if key not in fits:
-        pf = to_partial_fraction(aaa_fit(xs, ys, tolerance, max_degree))
-        mid = np.sqrt(xs[:-1] * xs[1:])
-        between = np.max(np.abs(eval_pf(pf, mid) - evaluate(norm.scaled, mid)))
-        # np.maximum keeps a NaN deviation, which max() could drop.
-        pf.validation_error = float(np.maximum(pf.validation_error, between))
-        fits[key] = pf
+    call = (func, tolerance, max_degree, n_samples, floor_ratio)
+    pf = fits.get(call)
+    if pf is None:
+        xs, ys = sample_grid(norm.scaled, n_samples, floor_ratio)
+        key = (hashlib.sha256(xs.tobytes() + ys.tobytes()).digest(), tolerance, max_degree)
+        pf = fits.get(key)
+        if pf is None:
+            pf = to_partial_fraction(aaa_fit(xs, ys, tolerance, max_degree))
+            mid = np.sqrt(xs[:-1] * xs[1:])
+            between = np.max(np.abs(eval_pf(pf, mid) - evaluate(norm.scaled, mid)))
+            # np.maximum keeps a NaN deviation, which max() could drop.
+            pf.validation_error = float(np.maximum(pf.validation_error, between))
+            fits[call] = fits[key] = pf
     # One form for both rescalings, each value in the order denormalize and
     # then scale_to_interval compute it.
-    pf, weight, rho = fits[key], norm.leading_weight, func.interval_upper
+    weight, rho = norm.leading_weight, func.interval_upper
     return replace(pf, c0=pf.c0 / weight, residues=pf.residues / weight * rho,
                    poles=pf.poles * rho, c1=pf.c1 / weight / rho)
 

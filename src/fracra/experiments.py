@@ -121,8 +121,8 @@ _CSV_COLUMNS = {
         "fit_reused", "failure",
     ),
     "complexity": (
-        "mu", "K", "n_cells", "n_c", "tolerance", "n_poles",
-        "iterations_minres", "setup_seconds", "solve_seconds", "failure",
+        "mu", "K", "n_cells", "n_c", "tolerance", "n_poles", "achieved_error",
+        "pf_error", "iterations_minres", "setup_seconds", "solve_seconds", "failure",
     ),
 }
 
@@ -297,7 +297,9 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
 
     mu is an exact scale of the preconditioner, so every point fits the
     mu = 1 target of its (K, mesh) and scales it by mu.  The points of one
-    (K, mesh) share one fit through a ``fits`` dict, and one set of
+    (K, mesh) share one fit through a ``fits`` dict, which stores a fresh
+    fit under its call and its samples' digest, so every later point repeats
+    the first one's call and skips the sampling; they also share one set of
     factorized shifts through a dict of operators keyed by (K, mesh): the
     first point factorizes, and every later one takes
     :meth:`RationalOperator.reweighted`, which applies bitwise as a fresh

@@ -772,6 +772,11 @@ def same_form(a, b):
             and np.array_equal(a.residues, b.residues))
 
 
+def stored_forms(fits):
+    """The distinct forms of a fits dict, which keys each one more than once."""
+    return list({id(form): form for form in fits.values()}.values())
+
+
 def test_fits_dict_reuses_a_fit_of_the_same_normalized_samples(monkeypatch):
     # Both functions normalize to 1/(x**-0.5 + 0.5 x**0.5) on (0, 1]: one fit,
     # and each call's form is bitwise that of a fit without a dict.
@@ -779,8 +784,12 @@ def test_fits_dict_reuses_a_fit_of_the_same_normalized_samples(monkeypatch):
     fresh = [fit_fractional_sum(func, 1e-10) for func in (f, g)]
     calls = counted_fits(monkeypatch)
     fits = {}
-    forms = [fit_fractional_sum(func, 1e-10, fits=fits) for func in (f, g)]
-    assert len(calls) == 1 and len(fits) == 1
+    forms, sizes = [], []
+    for func in (f, g):
+        forms.append(fit_fractional_sum(func, 1e-10, fits=fits))
+        sizes.append(len(fits))
+    # The call that found its samples in the dict adds no entry.
+    assert len(calls) == 1 and len(stored_forms(fits)) == 1 and sizes[0] == sizes[1]
     assert all(map(same_form, forms, fresh))
     assert not same_form(forms[0], forms[1])
 
@@ -790,7 +799,7 @@ def test_writing_into_a_reused_form_cannot_reach_the_dict_entry():
     fits = {}
     first = fit_fractional_sum(f, 1e-10, fits=fits)
     hit = fit_fractional_sum(f, 1e-10, fits=fits)
-    (entry,) = fits.values()
+    (entry,) = stored_forms(fits)
     for array in (hit.poles, hit.residues, *hit.terms):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -810,7 +819,32 @@ def test_fits_dict_fits_again_at_another_tolerance_or_degree(monkeypatch):
         fit_fractional_sum(f, tol, degree, fits=fits)
     assert [c[1:] for c in calls] == [(1e-10, 30), (1e-8, 30), (1e-10, 12)]
     assert len({c[0] for c in calls}) == 1
-    assert len(fits) == 3
+    assert len(stored_forms(fits)) == 3
+
+
+def test_a_repeated_call_skips_the_sampling_and_the_fit(monkeypatch):
+    f = FractionalSumFunction(1.0, 1e-2, -0.5, 0.5, 4.0)
+    fresh = fit_fractional_sum(f, 1e-10)
+    grids = []
+    real_grid = aaa_module.sample_grid
+
+    def counted_grid(*args):
+        grids.append(args)
+        return real_grid(*args)
+
+    monkeypatch.setattr(aaa_module, "sample_grid", counted_grid)
+    calls = counted_fits(monkeypatch)
+    fits = {}
+    first = fit_fractional_sum(f, 1e-10, fits=fits)
+    size = len(fits)
+    again = fit_fractional_sum(f, 1e-10, fits=fits)
+    assert len(grids) == len(calls) == 1 and len(fits) == size
+    assert same_form(again, fresh) and same_form(first, fresh)
+    assert again.poles.tobytes() == fresh.poles.tobytes()
+    assert again.residues.tobytes() == fresh.residues.tobytes()
+    assert not any(np.shares_memory(a, b)
+                   for a in (again.poles, again.residues, *again.terms)
+                   for b in (first.poles, first.residues, *first.terms))
 
 
 def spike_between_samples(monkeypatch, tol):
@@ -866,7 +900,7 @@ def test_a_reused_fit_keeps_its_midpoint_verdict_without_checking_again(monkeypa
     fits = {}
     first = fit_fractional_sum(f, tol, fits=fits)
     hit = fit_fractional_sum(g, tol, fits=fits)
-    assert len(fits) == 1 and checks == [FIT_SAMPLES - 1] and len(on_grid) == 2
+    assert len(stored_forms(fits)) == 1 and checks == [FIT_SAMPLES - 1] and len(on_grid) == 2
     assert fresh.validation_error == first.validation_error == hit.validation_error > tol
     assert hit.converged is False
 
@@ -891,7 +925,7 @@ def test_accepted_atlas_forms_hold_on_a_dense_window_grid(s, t_values):
                 fits = {}
                 if not fit_fractional_sum(func, tol, fits=fits).converged:
                     continue
-                (form,) = fits.values()
+                (form,) = stored_forms(fits)
                 deviation = np.max(np.abs(eval_pf(form, dense)
                                           - evaluate(normalize(func).scaled, dense)))
                 assert deviation <= tol, (s, t, alpha, beta, deviation)
