@@ -83,10 +83,14 @@ def cmd_solve_interface(args):
     print(f"iterations={report.iterations}")
     print(f"converged={report.converged}")
     print(f"poles N={pf.degree} setup_seconds={setup:.4f}")
+    print(f"achieved_error={pf.fit_error:.3e}")
+    print(f"pf_validation_error={pf.validation_error:.3e}")
     if args.out:
         payload = report.to_dict()
         payload["poles"] = pf.degree
         payload["setup_seconds"] = setup
+        payload["fit_error"] = float(pf.fit_error)
+        payload["validation_error"] = float(pf.validation_error)
         Path(args.out).write_text(json.dumps(payload, indent=2))
         print(f"wrote {args.out}")
     return EXIT_OK if report.converged else EXIT_NUMERICAL

@@ -27,7 +27,7 @@ class CurvatureBreakdownError(RuntimeError):
 
 
 class IndefinitePreconditionerError(RuntimeError):
-    """The preconditioner produced a negative inner product and cannot define a norm."""
+    """The preconditioner's <r, P r> is negative or not finite and defines no norm."""
 
 
 @dataclass
@@ -86,14 +86,15 @@ class _Preconditioner:
 
 
 def _energy(r, z, iteration):
-    """<r, P r> for z = P r.  A negative value raises at the start (iteration
-    0) and later unless it is within 1e-8 ||r|| ||z||, roundoff that reads 0."""
+    """<r, P r> for z = P r.  A value that is not finite raises, and so does a
+    negative one at the start (iteration 0) and later unless it is within
+    1e-8 ||r|| ||z||, roundoff that reads 0."""
     value = float(r @ z)
-    if value < 0:
-        if iteration == 0 or abs(value) > 1e-8 * np.linalg.norm(r) * np.linalg.norm(z):
-            where = f"iteration {iteration}" if iteration else "start"
-            raise IndefinitePreconditionerError(f"<r, Pr> = {value:.3e} at {where}")
-        value = 0.0
+    if value < 0 and iteration and abs(value) <= 1e-8 * np.linalg.norm(r) * np.linalg.norm(z):
+        return 0.0
+    if not 0 <= value < np.inf:
+        where = f"iteration {iteration}" if iteration else "start"
+        raise IndefinitePreconditionerError(f"<r, Pr> = {value:.3e} at {where}")
     return value
 
 

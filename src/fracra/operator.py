@@ -89,6 +89,15 @@ def _check_pivots(smallest, largest, count, label):
         )
 
 
+def _check_finite(pf):
+    """Raise ValueError naming c0, c1, a pole or a residue of ``pf`` that is not finite."""
+    for name, values in (("c0", pf.c0), ("c1", pf.c1), ("pole", pf.poles),
+                         ("residue", pf.residues)):
+        bad = np.extract(~np.isfinite(values), values)
+        if bad.size:
+            raise ValueError(f"the form's {name} is not finite: {bad[0]}")
+
+
 def _bordered_tridiagonal(A, M):
     """Border columns and, for A and M, the diagonal and subdiagonal of the
     leading block, the last row at the border columns and the corner (as a
@@ -121,7 +130,7 @@ def _flush(x, work):
     return x.size - int(np.count_nonzero(small))
 
 
-class _BorderedTridiagonal:
+def _bordered_ldlt(index, work, d, e, b, c, full, label):
     """LDL^T of an SPD [[T, b], [b^T, c]], T tridiagonal: one row of the stacked solve.
 
     ``pttrf`` factorizes T = L D L^T in place in the given ``d`` and ``e``;
@@ -129,7 +138,8 @@ class _BorderedTridiagonal:
     s = c - b.w, so a solve is a dot product with the stored entries of w and
     one ``pttrs`` on the leading block.  A failed ``pttrf``, or a smallest of
     the pivots D and s at most n*eps times the largest, raises
-    FactorizationError: a singular ring fails at s alone.
+    FactorizationError: a singular ring fails at s alone.  Returns the blocks
+    (lo, w) of w, s and the count of stored nonzero entries.
 
     b is given by its nonzeros, the values ``b`` at the positions ``index``
     of the leading block.  On a 1D pencil they sit at the ends of T, and w
@@ -141,7 +151,7 @@ class _BorderedTridiagonal:
     falls below the smallest normal double (and covers every border
     position) and doubles until both inner entries are below it; once the
     blocks would cover T (2k >= m), w is solved on the whole of T, in place
-    in ``full``.
+    in ``full``, as one block.
 
     Entries of E and w below the smallest normal double are set to zero.  On
     a strongly shifted ring the decay of w from each end reaches the subnormal
@@ -150,43 +160,40 @@ class _BorderedTridiagonal:
     the underflow, and the flush keeps subnormals out of every solve.  On a
     ring E keeps one sign, so its extremes show when no entry needs a flush.
     """
+    d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise FactorizationError(
+            f"shifted matrix for {label} is not positive definite (pttrf info {info})"
+        )
+    m = d.size
+    e_min, e_max = float(e.min()), float(e.max())
+    ratio = max(-e_min, e_max)
+    e_nnz = e.size if e_min >= _TINY or e_max <= -_TINY else _flush(e, work)
+    border = list(zip(index, b.tolist()))
+    h = sum(2 * i < m for i in index)  # index ascends, so these are the head's
 
-    def __init__(self, index, work, d, e, b, c, full, label):
-        d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
-        if info != 0:
-            raise FactorizationError(
-                f"shifted matrix for {label} is not positive definite (pttrf info {info})"
-            )
-        m = d.size
-        e_min, e_max = float(e.min()), float(e.max())
-        ratio = max(-e_min, e_max)
-        e_nnz = e.size if e_min >= _TINY or e_max <= -_TINY else _flush(e, work)
-        self.border = list(zip(index, b.tolist()))
-        h = sum(2 * i < m for i in index)  # index ascends, so these are the head's
+    def block_solve(lo, entries, rhs):
+        for i, value in entries:
+            rhs[i - lo] = value
+        hi = lo + rhs.size
+        return dpttrs(d[lo:hi], e[lo:hi - 1], rhs, overwrite_b=1)[0]
 
-        def block_solve(lo, entries, rhs):
-            for i, value in entries:
-                rhs[i - lo] = value
-            hi = lo + rhs.size
-            return dpttrs(d[lo:hi], e[lo:hi - 1], rhs, overwrite_b=1)[0]
-
-        k = m if ratio >= 1.0 else 2 + int(_LOG_TINY / math.log(max(ratio, _TINY)))
-        k = max([k] + [min(i, m - 1 - i) + 1 for i in index])
-        while 2 * k < m:
-            blocks = [(0, block_solve(0, self.border[:h], np.zeros(k))),
-                      (m - k, block_solve(m - k, self.border[h:], np.zeros(k)))]
-            if max(abs(blocks[0][1][-1]), abs(blocks[1][1][0])) < _TINY:
-                break
-            k *= 2
-        else:
-            full[:] = 0.0
-            blocks = [(0, block_solve(0, self.border, full))]
-        w_nnz = sum(_flush(w, work) for _lo, w in blocks)
-        s = float(c[0] - sum(value * w[i - lo] for i, value in self.border
-                             for lo, w in blocks if lo <= i < lo + w.size))
-        _check_pivots(min(d.min(), s), max(d.max(), s), m + 1, label)
-        self.d, self.e, self.w_blocks, self.s = d, e, blocks, s
-        self.nnz = m + e_nnz + w_nnz + 1  # pttrf succeeded, so D > 0
+    k = m if ratio >= 1.0 else 2 + int(_LOG_TINY / math.log(max(ratio, _TINY)))
+    k = max([k] + [min(i, m - 1 - i) + 1 for i in index])
+    while 2 * k < m:
+        blocks = [(0, block_solve(0, border[:h], np.zeros(k))),
+                  (m - k, block_solve(m - k, border[h:], np.zeros(k)))]
+        if max(abs(blocks[0][1][-1]), abs(blocks[1][1][0])) < _TINY:
+            break
+        k *= 2
+    else:
+        full[:] = 0.0
+        blocks = [(0, block_solve(0, border, full))]
+    w_nnz = sum(_flush(w, work) for _lo, w in blocks)
+    s = float(c[0] - sum(value * w[i - lo] for i, value in border
+                         for lo, w in blocks if lo <= i < lo + w.size))
+    _check_pivots(min(d.min(), s), max(d.max(), s), m + 1, label)
+    return blocks, s, m + e_nnz + w_nnz + 1  # pttrf succeeded, so D > 0
 
 
 class _BorderedPair:
@@ -243,7 +250,8 @@ class RationalOperator:
     and one per real pole, LDL^T in rows of one buffer; one per conjugate
     pair, a complex LU, whose contribution is 2*Re(c*w) so the output stays
     real.  A pencil that is not tridiagonal apart from its last unknown, or
-    has fewer than three unknowns, raises ValueError.  Every real pole is a
+    has fewer than three unknowns, raises ValueError, and so does a form with
+    a c0, c1, pole or residue that is not finite.  Every real pole is a
     definite shift, of A - p M or of p M - A, and a real pole for which
     neither is definite lies on the spectrum and raises FactorizationError.
 
@@ -262,11 +270,12 @@ class RationalOperator:
 
     The factorizations depend only on the pencil and the poles, the weights
     only on the residues: :meth:`reweighted` gives the operator of another
-    form with the same poles on the same pencil, sharing the solvers, so a
+    form with the same poles on the same pencil, sharing the factors, so a
     caller that holds one operator per pole set factorizes each shift once.
     """
 
     def __init__(self, pf, pencil):
+        _check_finite(pf)
         self.pf = pf
         self.pencil = pencil
         poles, _residues, pair = pf.terms
@@ -280,14 +289,14 @@ class RationalOperator:
         # zero at the end of each E row uncouples the stacked rows.
         buffer = np.empty((3, 1 + np.count_nonzero(~pair), self.n - 1))
         buffer[1, :, -1] = 0.0
-        rows = []  # the solvers of the buffer's rows
+        # Per row: border values, Schur pivot, full-length W, and split W's blocks
+        borders, pivots, full, self._split = [], [], [], []
 
         def definite(a_sign, m_coef, label):
             """The LDL^T of a_sign * A + m_coef * M for a_sign in {0, 1, -1},
-            assembled into the next buffer row and appended to ``rows``; a
-            full-length border vector takes the next unused row of the third
-            plane."""
-            row = len(rows)
+            assembled into the next buffer row; a full-length border vector
+            takes the next unused row of the third plane."""
+            row = len(pivots)
             pieces = []
             for a, m, out in zip(a_parts, m_parts,
                                  (buffer[0, row], buffer[1, row, :-1], None, None)):
@@ -297,59 +306,61 @@ class RationalOperator:
                 elif a_sign < 0:
                     x -= a
                 pieces.append(x)
-            full = buffer[2, sum(len(s.w_blocks) == 1 for s in rows)]
-            rows.append(_BorderedTridiagonal(index, work, *pieces, full, label))
-            return rows[-1]
+            blocks, s, nnz = _bordered_ldlt(index, work, *pieces, buffer[2, sum(full)], label)
+            borders.append(pieces[2])
+            pivots.append(s)
+            full.append(len(blocks) == 1)
+            if len(blocks) > 1:
+                self._split.append((row, blocks))
+            self.factor_nnz.append(nnz)
 
         tic = time.perf_counter()
-        # The mass matrix, then one solver per term; the weight of a term is
-        # its residue, negated where the solver factorizes p M - A.
-        self._solvers = [definite(0, 1.0, "mass matrix")]
+        # The mass matrix, then one shift per term; the weight of a term is
+        # its residue, negated where its row factorizes p M - A.
+        self.factor_nnz, self._pairs = [], []
+        definite(0, 1.0, "mass matrix")
         self._negated = np.zeros(poles.size, dtype=bool)
         self.factor_seconds = [time.perf_counter() - tic]
         for k, pole in enumerate(poles):
             tic = time.perf_counter()
             if pair[k]:
-                solver = _BorderedPair(index, work,
-                                       *(a - pole * m for a, m in zip(a_parts, m_parts)),
-                                       f"pole {pole:.6e}")
+                self._pairs.append(_BorderedPair(
+                    index, work, *(a - pole * m for a, m in zip(a_parts, m_parts)),
+                    f"pole {pole:.6e}"))
+                self.factor_nnz.append(self._pairs[-1].nnz)
             else:
                 pole = pole.real
                 label = f"pole {pole:.6e}"
                 try:
-                    solver = definite(1, -pole, label)
+                    definite(1, -pole, label)
                 except FactorizationError as below:
                     if pole <= 0:
                         raise
                     try:
-                        solver = definite(-1, pole, label)
+                        definite(-1, pole, label)
                     except FactorizationError:
                         raise FactorizationError(
                             f"{below}, nor is its negation: {label} lies on the spectrum"
                         ) from below
                     self._negated[k] = True
             self.factor_seconds.append(time.perf_counter() - tic)
-            self._solvers.append(solver)
-        self._pairs = [s for s, p in zip(self._solvers[1:], pair) if p]
         # What the stacked solve reads of the rows besides the buffer
         self._buffer = buffer
         self._index = np.array(index, dtype=np.intp)
-        self._border = np.array([[value for _i, value in s.border] for s in rows])
-        self._pivots = np.array([s.s for s in rows])
-        self._full = np.array([len(s.w_blocks) == 1 for s in rows])
+        self._border = np.array(borders)
+        self._pivots = np.array(pivots)
+        self._full = np.array(full)
         self._full_rows = np.concatenate(([0], np.cumsum(self._full)))
-        self._split = [(row, s.w_blocks) for row, s in enumerate(rows) if len(s.w_blocks) > 1]
         self._weigh(pf)
         self.apply_count = 0
         self.apply_seconds = 0.0
 
     def _weigh(self, pf):
-        """The weights of the terms of ``pf``, and of the buffer's rows (c0
-        for the mass row) and of the conjugate pairs."""
+        """The weights of the buffer's rows (c0 for the mass row) and pairs of ``pf``."""
         residues, pair = pf.terms[1:]
-        self._weights = np.where(self._negated, -residues, residues)
-        self._row_weights = np.concatenate(([pf.c0], self._weights[~pair].real))
-        self._pair_weights = self._weights[pair]
+        weights = np.where(self._negated, -residues, residues)
+        self._row_weights = np.concatenate(([pf.c0], weights[~pair].real))
+        self._pair_weights = weights[pair]
 
     def reweighted(self, pf):
         """The operator of ``pf`` on this operator's pencil, built from its
@@ -360,12 +371,13 @@ class RationalOperator:
         may differ.  The new operator negates the residues of the poles
         factorized as p M - A here, so it applies bitwise as
         ``RationalOperator(pf, self.pencil)`` would.  It shares the pencil,
-        the solvers and their factorization record (``factor_seconds``) and
+        the factors and their record (``factor_seconds``, ``factor_nnz``) and
         starts its own apply counters.
         """
         # The pair mask is derived from the poles, so it is equal with them.
         if pf.terms[0].tobytes() != self.pf.terms[0].tobytes():
             raise ValueError("a reweighted form must have the poles of the factorized one")
+        _check_finite(pf)
         op = copy.copy(self)
         op.pf = pf
         op._weigh(pf)
@@ -382,7 +394,7 @@ class RationalOperator:
         """Mass solve unless c0 = c1 = 0, a second one for a linear term, and
         one solve per real pole or conjugate pair."""
         c0, c1 = self.pf.c0, self.pf.c1
-        return int(c0 != 0.0 or c1 != 0.0) + int(c1 != 0.0) + len(self._solvers) - 1
+        return int(c0 != 0.0 or c1 != 0.0) + int(c1 != 0.0) + self.pf.terms[0].size
 
     def apply(self, r):
         """z = c0 M^{-1} r + c1 M^{-1} A M^{-1} r + sum_i c_i (A - p_i M)^{-1} r.
@@ -447,7 +459,7 @@ class RationalOperator:
             "solves_per_apply": self.solves_per_apply,
             "apply_seconds": self.apply_seconds,
             "factor_seconds": list(self.factor_seconds),
-            "factor_nnz": [int(s.nnz) for s in self._solvers],
+            "factor_nnz": list(self.factor_nnz),
         }
 
 
@@ -468,7 +480,9 @@ def spd_audit(operator, trials, seed=0):
     """Probe the operator with random vector pairs.
 
     Reports the smallest Rayleigh quotient <z, r> / <r, r> over the trials and
-    the largest relative symmetry defect |<apply(r), q> - <r, apply(q)>|.
+    the largest relative symmetry defect |<apply(r), q> - <r, apply(q)>|.  An
+    apply that returns NaN leaves NaN in both, so the report is not positive
+    definite.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -481,7 +495,8 @@ def spd_audit(operator, trials, seed=0):
         q = rng.standard_normal(n)
         zr = operator.apply(r)
         zq = operator.apply(q)
-        min_ray = min(min_ray, float(zr @ r) / float(r @ r))
+        min_ray = np.minimum(min_ray, float(zr @ r) / float(r @ r))
         scale = np.linalg.norm(zr) * np.linalg.norm(q) + np.linalg.norm(zq) * np.linalg.norm(r)
-        defect = max(defect, abs(float(zr @ q) - float(r @ zq)) / max(scale, np.finfo(float).tiny))
-    return SpdAuditReport(float(min_ray), float(defect), trials)
+        defect = np.maximum(defect, abs(float(zr @ q) - float(r @ zq)) / max(scale, _TINY))
+    # q has no Rayleigh quotient here: a NaN apply of q shows in the defect alone
+    return SpdAuditReport(float(np.nan if np.isnan(defect) else min_ray), float(defect), trials)

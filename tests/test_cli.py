@@ -122,9 +122,12 @@ def test_solve_interface(tmp_path, capsys):
     assert code == 0
     first = capsys.readouterr().out
     assert "iterations=" in first
+    # the form's errors show on the solve path, as they do for a fit
+    assert "achieved_error=" in first and "pf_validation_error=" in first
     data = json.loads(out.read_text())
     assert data["converged"] is True
     assert data["iterations"] <= 40
+    assert all(np.isfinite(data[key]) for key in ("fit_error", "validation_error"))
 
     # identical flags give identical counts (timing lines excluded)
     code = main(args)

@@ -464,7 +464,7 @@ def test_complexity_study_fits_the_interface_preconditioner():
     # The study's form is the one solve_interface and robustness_sweep apply:
     # the mu = 1 target, scaled by mu.
     (rec,) = complexity_study(mesh_grid=(32,), mu=1e-4, K=1.0, repeats=1)
-    pf, _ = experiments._fit_preconditioner(assemble_interface(32), 1e-4, 1.0, 1e-12)
+    _, _, pf, _ = solve_interface(assemble_interface(32), 1e-4, 1.0, 1e-12)
     assert not rec.failure
     assert (rec.n_poles, rec.achieved_error, rec.pf_error) == (
         pf.degree, pf.fit_error, pf.validation_error)

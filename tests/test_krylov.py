@@ -101,6 +101,29 @@ def test_indefinite_preconditioner_raises(solver):
                np.array([1.0, 0.1, 1.0]))
 
 
+class NanAfter:
+    """The identity for the first ``calls`` applies, NaN from then on."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def apply(self, v):
+        self.calls -= 1
+        return v.copy() if self.calls >= 0 else np.full_like(v, np.nan)
+
+
+@pytest.mark.parametrize("solver", [pcg, minres])
+def test_non_finite_preconditioner_raises(solver):
+    # A NaN <r, P r> is not negative, yet it defines no norm: it raises where
+    # it appears instead of running out the iterations unconverged.
+    A = spd_test_matrix(20, seed=3)
+    b = np.random.default_rng(3).standard_normal(20)
+    with pytest.raises(IndefinitePreconditionerError, match="nan at start"):
+        solver(A, NanAfter(0), b)
+    with pytest.raises(IndefinitePreconditionerError, match="nan at iteration 1"):
+        solver(A, NanAfter(1), b)
+
+
 def test_max_iter_exceeded_reports_not_converged():
     pencil = assemble_interval(100, periodic=False)
     b = np.random.default_rng(7).standard_normal(pencil.n_c)

@@ -164,9 +164,8 @@ def test_pencil_that_is_not_bordered_tridiagonal_raises(make, monkeypatch):
         RationalOperator(pf, make())
 
 
-@pytest.mark.parametrize("pole,weight", [(0.5, 1.0), (3e4, -1.0)],
-                         ids=["below-spectrum", "above-spectrum-no-rho"])
-def test_positive_pole_off_the_spectrum_is_a_definite_shift(pole, weight, monkeypatch):
+@pytest.mark.parametrize("pole", [0.5, 3e4], ids=["below-spectrum", "above-spectrum-no-rho"])
+def test_positive_pole_off_the_spectrum_is_a_definite_shift(pole, monkeypatch):
     # A ring pole in (0, lambda_min) makes A - p M definite, so it takes the
     # bordered tridiagonal LDL^T without a warning.  A pole above the spectrum
     # (3e4 > rho_bound = 12289) fails as A - p M and is factorized as p M - A
@@ -178,7 +177,6 @@ def test_positive_pole_off_the_spectrum_is_a_definite_shift(pole, weight, monkey
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         op = RationalOperator(pf, pencil)
-    assert op._weights.tolist() == [weight]
     r = np.random.default_rng(5).standard_normal(pencil.n_c)
     out = op.apply(r)
     ref = dense_apply(pf, pencil, r)
@@ -203,31 +201,34 @@ def test_pole_on_the_spectrum_raises_naming_it(make, match):
 def test_definite_shifts_share_one_buffer(n):
     # With a lumped mass matrix the mass shift and the strongest shift solve
     # their border vectors on end blocks, the others (one of them p M - A,
-    # above rho_bound) on all of T.  D and E of every shift live in one
-    # buffer, each equal to pttrf of the shift's own freshly assembled
-    # diagonals; a full-length border vector shares it too.
+    # above rho_bound) on all of T.  D and E of every shift live in the one
+    # buffer the apply reads, each equal to pttrf of the shift's own freshly
+    # assembled diagonals; a full-length border vector lives there too, and
+    # end blocks do not.
     tiny = np.finfo(float).tiny
     ring = assemble_interface(n)
     lumped = sp.diags(np.asarray(ring.M.sum(axis=1)).ravel())
     pencil = OperatorPencil(ring.A, lumped, spatial_dimension=1)
     poles = [-1.0, -1e3, 2.0 * pencil.rho_bound, -1e20]
     op = RationalOperator(PartialFraction(0.5, [1.0, 2.0, 3.0, 4.0], poles, 1e-12), pencil)
-    solvers = op._solvers
-    sizes = [[w.size for _lo, w in solver.w_blocks] for solver in solvers]
-    assert [n - 1] in sizes and any(len(blocks) == 2 for blocks in sizes)
-    buffer = solvers[0].d.base
-    assert buffer.shape == (3, len(solvers), n - 1)
-    assert np.shares_memory(buffer, solvers[-1].d)
+    buffer = op._buffer
+    assert buffer.shape == (3, 5, n - 1)
+    assert op._full.tolist() == [False, True, True, True, False]
+    assert [row for row, _blocks in op._split] == [0, 4]
     shifts = [pencil.M] + [pencil.A - p * pencil.M if p < 0 else p * pencil.M - pencil.A
                            for p in poles]
-    for solver, shifted in zip(solvers, shifts):
+    for row, shifted in enumerate(shifts):
         d, e, info = dpttrf(shifted.diagonal()[:-1], shifted.diagonal(-1)[:-1])
         e[np.abs(e) < tiny] = 0.0
         assert info == 0
-        assert np.array_equal(solver.d, d) and np.array_equal(solver.e, e)
-        assert np.shares_memory(buffer, solver.d) and np.shares_memory(buffer, solver.e)
-        for _lo, w in solver.w_blocks:
-            assert np.shares_memory(buffer, w) == (w.size == n - 1)
+        assert np.array_equal(buffer[0, row], d) and np.array_equal(buffer[1, row, :-1], e)
+        if op._full[row]:
+            w, _info = dpttrs(d, e, shifted[-1, :-1].toarray().ravel())
+            w[np.abs(w) < tiny] = 0.0
+            assert np.array_equal(buffer[2, op._full_rows[row]], w)
+    for _row, blocks in op._split:
+        assert [w.size < n - 1 for _lo, w in blocks] == [True, True]
+        assert not any(np.shares_memory(buffer, w) for _lo, w in blocks)
 
 
 def test_singular_shift_reports_pole():
@@ -263,11 +264,12 @@ def test_determinism_bitwise():
     assert np.array_equal(op.apply(r), op2.apply(r))
 
 
-def _row_solve(op, row, r):
-    """Row ``row`` of the operator's stacked solve for r, as a one-row call."""
-    block = np.empty((1, op.n - 1))
-    last = op._solve_rows(row, row + 1, r, block)
-    return np.append(block[0], last[0])
+def _row_solve(pencil, pole, r):
+    """The stacked solve's row of a real pole for r, as the apply of the pole's
+    one-term operator with unit residue shows it: negated back for a pole
+    above rho_bound, whose row factorizes p M - A."""
+    x = RationalOperator(PartialFraction(0.0, [1.0], [pole], 1e-12), pencil).apply(r)
+    return -x if pole > pencil.rho_bound else x
 
 
 def _stacked_sum(weights, solutions):
@@ -282,14 +284,15 @@ def _stacked_sum(weights, solutions):
 
 def test_apply_sums_the_terms_bitwise():
     # Every real shift is solved in one stacked pttrs call whose rows are
-    # bitwise one-row calls of the same solve, and the terms are summed by
-    # one weighted product.  With no constant term no larger mass solve
-    # absorbs a last-bit difference of the terms.
+    # bitwise the solves of one-term operators, and the terms are summed by
+    # one weighted product, the residue of the p M - A row negated.  With no
+    # constant term no larger mass solve absorbs a last-bit difference of the
+    # terms.
     pencil = assemble_interface(64)
-    pf = PartialFraction(0.0, [0.7, 1.9, -2.3], [-1.0, -40.0, 3.0 * pencil.rho_bound], 1e-12)
-    op = RationalOperator(pf, pencil)
+    poles = [-1.0, -40.0, 3.0 * pencil.rho_bound]
+    op = RationalOperator(PartialFraction(0.0, [0.7, 1.9, -2.3], poles, 1e-12), pencil)
     r = np.random.default_rng(3).standard_normal(pencil.n_c)
-    want = _stacked_sum(op._weights.real, [_row_solve(op, row, r) for row in (1, 2, 3)])
+    want = _stacked_sum(np.array([0.7, 1.9, 2.3]), [_row_solve(pencil, p, r) for p in poles])
     assert np.array_equal(op.apply(r), want)
 
 
@@ -307,36 +310,37 @@ def _poisoned_empty(monkeypatch):
 
 
 def test_apply_in_several_blocks_matches_per_shift_solves(monkeypatch):
-    # Two rows per stacked pttrs call: the mass row and four real shifts of a
-    # 64-cell ring take three blocks, the last one partial.  Each block must
+    # At 131072 cells one stacked pttrs call takes four rows: the mass row
+    # and four real shifts take two blocks, the last one partial, and the
+    # linear term's second mass solve is a one-row call.  Each block must
     # stay uncoupled from its neighbours in the stack (the unused last
-    # multiplier of every row is zero), whatever the buffer held before.
+    # multiplier of every row is zero), whatever the buffer held before.  The
+    # exact FFT symbol of the whole form is
+    # c0 / lam_M + c1 lam_A / lam_M^2 + sum c_i / (lam_A - p_i lam_M).
+    # c1 and the residue above rho_bound are chosen so that every row carries
+    # at least 1e-10 of the result, the last block's row 3e-7: a row dropped,
+    # negated or weighted by another row's residue shows at the bound.
     _poisoned_empty(monkeypatch)
-    pencil = assemble_interface(64)
-    monkeypatch.setattr(operator_module, "_BLOCK_UNKNOWNS", 2 * (pencil.n_c - 1) + 1)
+    n = 131072
+    pencil = assemble_interface(n)
     c, p = 0.5 + 0.25j, -3.0 + 2.0j
     poles = [-1.0, p, np.conj(p), -40.0, -1e7, 3.0 * pencil.rho_bound]
-    residues = [0.7, c, np.conj(c), 1.9, 3e4, -2.3]
-    pf = PartialFraction(0.2, residues, poles, 1e-12, c1=1e-3)
-    op = RationalOperator(pf, pencil)
-    buffer = op._solvers[0].d.base
-    assert buffer.shape[1] == 5
-    assert not np.any(buffer[1, :, -1])
-    r = np.random.default_rng(16).standard_normal(pencil.n_c)
-    y = _row_solve(op, 0, r)
-    want = 0.2 * y + 1e-3 * _row_solve(op, 0, pencil.A @ y)
-    row = 0
-    for solver, weight, pair in zip(op._solvers[1:], op._weights, pf.terms[2]):
-        if pair:
-            want += 2.0 * np.real(weight * solver.solve(r))
-        else:
-            row += 1
-            want += weight.real * _row_solve(op, row, r)
-    out = op.apply(r)
-    assert np.linalg.norm(out - want) <= 1e-14 * np.linalg.norm(want)
-    # the blocks reproduce the one-block apply up to the order of the sums
-    monkeypatch.setattr(operator_module, "_BLOCK_UNKNOWNS", 2 ** 19)
-    assert np.linalg.norm(op.apply(r) - out) <= 1e-14 * np.linalg.norm(want)
+    residues = [0.7, c, np.conj(c), 1.9, 3e4, -2.3e10]
+    op = RationalOperator(PartialFraction(0.2, residues, poles, 1e-12, c1=1e-6), pencil)
+    real_dpttrs, rows = dpttrs, []
+
+    def counting_dpttrs(d, e, b, **kwargs):
+        rows.append(d.size // (n - 1))
+        return real_dpttrs(d, e, b, **kwargs)
+
+    monkeypatch.setattr(operator_module, "dpttrs", counting_dpttrs)
+    lam_m, lam_a = _circulant_symbols(n)
+    symbol = 0.2 / lam_m + 1e-6 * lam_a / lam_m ** 2 + sum(
+        c / (lam_a - p * lam_m) for c, p in zip(residues, poles))
+    r = np.random.default_rng(16).standard_normal(n)
+    ref = np.fft.ifft(np.fft.fft(r) * symbol).real
+    assert np.linalg.norm(op.apply(r) - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert rows == [4, 1, 1]
 
 
 def test_ring_form_without_constant_term_matches_dense_spectral_apply(monkeypatch):
@@ -351,7 +355,6 @@ def test_ring_form_without_constant_term_matches_dense_spectral_apply(monkeypatc
     poles = [-1.0, p, np.conj(p), -40.0, above]
     pf = PartialFraction(0.0, residues, poles, 1e-12, c1=2e-3)
     op = RationalOperator(pf, pencil)
-    assert op._negated.tolist() == [False, False, False, True]
     assert op.solves_per_apply == 6
     r = np.random.default_rng(17).standard_normal(pencil.n_c)
     symbol = lambda lam: 2e-3 * lam + sum(c / (lam - p) for c, p in zip(residues, poles))
@@ -389,22 +392,28 @@ def _ring_form(pencil, scale):
                            c1=1e-3 * scale)
 
 
-@pytest.mark.parametrize("make,form,negated", [
-    (lambda: assemble_interface(64), _ring_form, [False, False, False, True]),
+@pytest.mark.parametrize("make,form", [
+    (lambda: assemble_interface(64), _ring_form),
 ], ids=["ring-pM-A"])
-def test_reweighted_operator_applies_as_a_fresh_build(make, form, negated):
-    # Same poles on the same pencil: the reweighted operator shares every
-    # solver and applies bitwise as a fresh build of the new form.
+def test_reweighted_operator_applies_as_a_fresh_build(make, form, monkeypatch):
+    # Same poles on the same pencil: the reweighted operator factorizes
+    # nothing, keeps the operator's factorization record and applies bitwise
+    # as a fresh build of the new form, whose spectral map is the form's.
     pencil = make()
     op = RationalOperator(form(pencil, 1.0), pencil)
     pf = form(pencil, -7.3e-3)
-    reweighted = op.reweighted(pf)
     fresh = RationalOperator(pf, pencil)
-    assert np.array_equal(fresh._weights, np.where(negated, -1, 1) * pf.terms[1])
-    assert all(a is b for a, b in zip(reweighted._solvers, op._solvers))
-    assert np.array_equal(reweighted._weights, fresh._weights)
+    with monkeypatch.context() as patch:
+        patch.setattr(operator_module, "dpttrf", _no_factorization)
+        patch.setattr(operator_module, "zgttrf", _no_factorization)
+        reweighted = op.reweighted(pf)
+    for key in ("factor_seconds", "factor_nnz"):
+        assert reweighted.telemetry[key] == op.telemetry[key]
     r = np.random.default_rng(9).standard_normal(pencil.n_c)
-    assert np.array_equal(reweighted.apply(r), fresh.apply(r))
+    out = reweighted.apply(r)
+    assert np.array_equal(out, fresh.apply(r))
+    ref = dense_inverse_fractional_apply(pencil, pf, r)
+    assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
     assert (reweighted.apply_count, op.apply_count) == (1, 0)
     assert reweighted.pf is pf and op.pf is not pf
     assert reweighted.pencil is pencil
@@ -467,6 +476,42 @@ def test_spd_audit_mass_only_symmetric():
     assert report.max_symmetry_defect <= 1e-12
     with pytest.raises(ValueError):
         spd_audit(op, trials=0)
+
+
+@pytest.mark.parametrize("nan_apply", [0, 2, 3])
+def test_spd_audit_carries_nan(nan_apply):
+    # An apply that returns NaN, of r or q, first or in a later trial, leaves
+    # NaN in both fields, so the report does not read positive definite.
+    class NanOnce:
+        n, calls = 8, 0
+
+        def apply(self, r):
+            self.calls += 1
+            return np.full_like(r, np.nan) if self.calls == nan_apply + 1 else r.copy()
+
+    report = spd_audit(NanOnce(), trials=3)
+    assert np.isnan(report.min_rayleigh) and np.isnan(report.max_symmetry_defect)
+    assert not report.positive_definite
+
+
+@pytest.mark.parametrize("field,value", [("c0", np.nan), ("c1", np.inf), ("pole", np.nan),
+                                         ("pole", -np.inf), ("residue", np.nan)])
+def test_form_that_is_not_finite_raises_naming_it(field, value, monkeypatch):
+    # A non-finite c0, c1 or residue would make every apply NaN, and a
+    # non-finite pole has no shift: each is rejected before any
+    # factorization, in a reweighted form too.
+    pencil = assemble_interface(32)
+    op = RationalOperator(PartialFraction(0.2, [1.0, 2.0], [-1.0, -40.0], 1e-12), pencil)
+    monkeypatch.setattr(operator_module, "dpttrf", _no_factorization)
+    monkeypatch.setattr(operator_module, "zgttrf", _no_factorization)
+    form = {"c0": 0.2, "c1": 0.0, "pole": -1.0, "residue": 1.0, field: value}
+    pf = PartialFraction(form["c0"], [form["residue"], 2.0], [form["pole"], -40.0], 1e-12,
+                         c1=form["c1"])
+    with pytest.raises(ValueError, match=f"form's {field} is not finite"):
+        RationalOperator(pf, pencil)
+    if field != "pole":
+        with pytest.raises(ValueError, match=f"form's {field} is not finite"):
+            op.reweighted(pf)
 
 
 def test_apply_rejects_wrong_length():
@@ -563,16 +608,29 @@ def test_negative_definite_pencil_reports_pole():
         RationalOperator(pf, pencil)
 
 
-def _stored_arrays(solver):
-    """Every array a solver keeps for its solves."""
-    if hasattr(solver, "lu"):
-        return [*solver.lu[:4], solver.w, np.array([solver.s])]
-    return [solver.d, solver.e, *(w for _lo, w in solver.w_blocks), np.array([solver.s])]
+def _row_arrays(op, row):
+    """What the apply reads of a buffer row: D, E, the blocks (lo, w) of the
+    border vector and the Schur pivot."""
+    blocks = dict(op._split).get(row) or [(0, op._buffer[2, op._full_rows[row]])]
+    return op._buffer[0, row], op._buffer[1, row, :-1], blocks, op._pivots[row]
 
 
-def _circulant_solve(n, pole, r):
-    """(A - pole M)^{-1} r on assemble_interface(n), or M^{-1} r for pole None,
-    as a complex vector.
+def _stored_arrays(op):
+    """Every array the apply reads of each shift, in telemetry order: the mass
+    matrix first, then one shift per term."""
+    rows, pairs, stored = iter(range(op._pivots.size)), iter(op._pairs), []
+    for pair in [False, *op.pf.terms[2]]:
+        if pair:
+            solver = next(pairs)
+            stored.append([*solver.lu[:4], solver.w, np.array([solver.s])])
+        else:
+            d, e, blocks, s = _row_arrays(op, next(rows))
+            stored.append([d, e, *(w for _lo, w in blocks), np.array([s])])
+    return stored
+
+
+def _circulant_symbols(n):
+    """The eigenvalues of M and A of assemble_interface(n), in FFT order.
 
     A = K + M with K and M the circulant P1 stiffness and mass of the ring, so
     one FFT diagonalizes every shift exactly, a complex one too.
@@ -580,8 +638,14 @@ def _circulant_solve(n, pole, r):
     h = 1.0 / n
     cos = np.cos(2.0 * np.pi * np.arange(n) / n)
     lam_m = h * (4.0 + 2.0 * cos) / 6.0
-    lam_k = (2.0 - 2.0 * cos) / h
-    symbol = lam_m if pole is None else lam_k + (1.0 - pole) * lam_m
+    return lam_m, (2.0 - 2.0 * cos) / h + lam_m
+
+
+def _circulant_solve(n, pole, r):
+    """(A - pole M)^{-1} r on assemble_interface(n), or M^{-1} r for pole None,
+    as a complex vector."""
+    lam_m, lam_a = _circulant_symbols(n)
+    symbol = lam_m if pole is None else lam_a - pole * lam_m
     return np.fft.ifft(np.fft.fft(r) / symbol)
 
 
@@ -597,7 +661,7 @@ def test_band_factors_hold_no_subnormal_entries():
     pf = PartialFraction(1.0, [1.0] * 3 + [c, np.conj(c)], poles + [p, np.conj(p)], 1e-12)
     ring = assemble_interface(4096)
     op = RationalOperator(pf, ring)
-    stored = [_stored_arrays(solver) for solver in op._solvers]
+    stored = _stored_arrays(op)
     for array in (a.view(float) for arrays in stored for a in arrays):
         assert not np.any((array != 0.0) & (np.abs(array) < tiny))
     assert op.telemetry["factor_nnz"] == [
@@ -608,7 +672,7 @@ def test_band_factors_hold_no_subnormal_entries():
     assert np.linalg.norm(op.apply(r) - ref) <= 1e-10 * np.linalg.norm(ref)
     # the strongest shift's border vector decayed below tiny, so only its end
     # blocks are stored
-    assert sum(w.size for _lo, w in op._solvers[-1].w_blocks) < ring.n_c - 1
+    assert sum(w.size for _lo, w in _row_arrays(op, 3)[2]) < ring.n_c - 1
 
 
 @pytest.mark.parametrize("pole", [None, -1e-3, -1.0, -1e3, -1e6, -1e9, -1e11, "2rho",
@@ -640,18 +704,15 @@ def test_linear_term_with_end_block_rows_matches_circulant_fft_apply():
     # c1 M^-1 A M^-1 r solves through the mass row twice; on a 4096-cell
     # ring the mass row, and the p M - A row above rho_bound, store their
     # border vectors as end blocks.  The exact FFT symbol of the whole form
-    # is c1 lam_A / lam_M^2 + sum c_i / (lam_A - p_i lam_M).
+    # is c1 lam_A / lam_M^2 + sum c_i / (lam_A - p_i lam_M); the p M - A
+    # row's residue is large enough for a sign error to show at the bound.
     n = 4096
     pencil = assemble_interface(n)
     poles = [-1e6, 2.0 * pencil.rho_bound]
-    residues = [1e6, -2.3]
+    residues = [1e6, -2.3e4]
     op = RationalOperator(PartialFraction(0.0, residues, poles, 1e-12, c1=1e-3), pencil)
-    assert op._negated.tolist() == [False, True]
-    assert len(op._solvers[0].w_blocks) == 2 and len(op._solvers[2].w_blocks) == 2
-    h = 1.0 / n
-    cos = np.cos(2.0 * np.pi * np.arange(n) / n)
-    lam_m = h * (4.0 + 2.0 * cos) / 6.0
-    lam_a = (2.0 - 2.0 * cos) / h + lam_m
+    assert [row for row, _blocks in op._split] == [0, 2]
+    lam_m, lam_a = _circulant_symbols(n)
     symbol = 1e-3 * lam_a / lam_m ** 2 + sum(
         c / (lam_a - p * lam_m) for c, p in zip(residues, poles))
     r = np.random.default_rng(18).standard_normal(n)
@@ -694,35 +755,36 @@ def test_border_blocks_match_full_length_solve(n, pole, scale):
     pencil = OperatorPencil(S @ base.A @ S, S @ base.M @ S, spatial_dimension=1)
     if pole is None:
         op = RationalOperator(PartialFraction(1.0, [], [], 1e-12), pencil)
-        solver, shifted = op._solvers[0], pencil.M
+        row, shifted = 0, pencil.M
     else:
         op = RationalOperator(PartialFraction(0.0, [1.0], [pole], 1e-12), pencil)
-        solver, shifted = op._solvers[1], pencil.A - pole * pencil.M
+        row, shifted = 1, pencil.A - pole * pencil.M
+    d, e, blocks, s = _row_arrays(op, row)
     m = n - 1
     b = shifted[-1, :-1].toarray().ravel()
-    ref, _info = dpttrs(solver.d, solver.e, b)
+    ref, _info = dpttrs(d, e, b)
     ref[np.abs(ref) < tiny] = 0.0
     w = np.zeros(m)
-    for lo, block in solver.w_blocks:
+    for lo, block in blocks:
         w[lo:lo + block.size] = block
         assert not np.any((block != 0) & (np.abs(block) < tiny))
     assert np.all(np.abs(w - ref) < 4 * tiny)
-    assert solver.s == pytest.approx(shifted[-1, -1] - b @ ref, rel=1e-12)
-    assert not np.any((solver.e != 0) & (np.abs(solver.e) < tiny))
-    stored = [solver.d, solver.e] + [block for _lo, block in solver.w_blocks]
+    assert s == pytest.approx(shifted[-1, -1] - b @ ref, rel=1e-12)
+    assert not np.any((e != 0) & (np.abs(e) < tiny))
+    stored = [d, e] + [block for _lo, block in blocks]
     assert op.telemetry["factor_nnz"][-1] == sum(np.count_nonzero(x) for x in stored) + 1
     if n == 131072 and scale == 1.0 and pole is not None and pole <= -1e7:
-        assert sum(block.size for _lo, block in solver.w_blocks) < n / 2
+        assert sum(block.size for _lo, block in blocks) < n / 2
     if n == 131072 and pole in (-5.26e5, -1.414e6):
         # |E| = 0.99 and above: the first blocks already reach past the
         # middle, so w is solved on all of T.
-        assert [(lo, block.size) for lo, block in solver.w_blocks] == [(0, m)]
+        assert [(lo, block.size) for lo, block in blocks] == [(0, m)]
     first = {4096: {None: 539, -1e7: 895, -1e9: 476},
              131072: {None: 539, -1e7: 29363, -1e9: 2931}}[n]
     if pole in first:
         # The unscaled w fits the first block size; the scaled one doubles it once.
         k = first[pole] if scale == 1.0 else 2 * first[pole]
-        assert [(lo, block.size) for lo, block in solver.w_blocks] == [(0, k), (m - k, k)]
+        assert [(lo, block.size) for lo, block in blocks] == [(0, k), (m - k, k)]
 
 
 def test_multipliers_below_tiny_are_flushed():
@@ -736,10 +798,10 @@ def test_multipliers_below_tiny_are_flushed():
         A[i, i + 1] = A[i + 1, i] = value
     pencil = OperatorPencil(A.tocsr(), base.M, spatial_dimension=1)
     op = RationalOperator(PartialFraction(0.0, [1.0], [0.0], 1e-12), pencil)
-    solver = op._solvers[1]
-    assert solver.e[5] == solver.e[20] == 0.0
-    assert not np.any((solver.e != 0) & (np.abs(solver.e) < tiny))
-    stored = [solver.d, solver.e] + [block for _lo, block in solver.w_blocks]
+    d, e, blocks, _s = _row_arrays(op, 1)
+    assert e[5] == e[20] == 0.0
+    assert not np.any((e != 0) & (np.abs(e) < tiny))
+    stored = [d, e] + [block for _lo, block in blocks]
     assert op.telemetry["factor_nnz"][1] == sum(np.count_nonzero(x) for x in stored) + 1
 
 
@@ -760,13 +822,9 @@ def test_mid_coupled_border_takes_the_full_length_solve(monkeypatch):
     poles = [-1.0, p, np.conj(p), -1e9, -1e11]
     pf = PartialFraction(0.5, residues, poles, 1e-12)
     op = RationalOperator(pf, pencil)
-    solvers = op._solvers
-    assert len(solvers) == 5
-    for solver, pair in zip(solvers, [False, *pf.terms[2]]):
-        if pair:
-            assert solver.w.size == n - 1
-        else:
-            assert [(lo, w.size) for lo, w in solver.w_blocks] == [(0, n - 1)]
+    assert op._buffer.shape == (3, 4, n - 1)
+    assert op._full.all() and op._split == []
+    assert [solver.w.size for solver in op._pairs] == [n - 1]
     r = np.random.default_rng(15).standard_normal(n)
     symbol = lambda lam: np.real(0.5 + sum(c / (lam - p) for c, p in zip(residues, poles)))
     ref = dense_inverse_fractional_apply(pencil, symbol, r)
