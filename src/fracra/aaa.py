@@ -680,26 +680,28 @@ def sup_error(pf, func, validation_grid):
     return float(np.max(np.abs(evaluate(func, grid) - eval_pf(pf, grid))))
 
 
-def scale_to_interval(pf, rho):
-    """Push a fit on (0, 1] forward to (0, rho].
+def _rescaled(pf, weight, rho):
+    """The form pf(x / rho) / weight, for a weight and rho that are positive
+    and finite; either one that is not raises ValueError."""
+    if not 0 < weight < np.inf:
+        raise ValueError("leading_weight must be positive and finite")
+    if not 0 < rho < np.inf:
+        raise ValueError("interval scaling factor rho must be positive and finite")
+    return replace(pf, c0=pf.c0 / weight, residues=pf.residues / weight * rho,
+                   poles=pf.poles * rho, c1=pf.c1 / weight / rho)
 
-    Poles and residues are multiplied by rho, the linear coefficient is
-    divided by rho and the constant term is kept, so the scaled form at x
-    equals the original at x/rho identically.
-    """
-    if rho <= 0:
-        raise ValueError("interval scaling factor must be positive")
-    return replace(pf, residues=pf.residues * rho, poles=pf.poles * rho,
-                   c1=pf.c1 / rho)
+
+def scale_to_interval(pf, rho):
+    """Push a fit on (0, 1] forward to (0, rho], for rho positive and finite:
+    poles and residues are multiplied by rho, c1 is divided by it and c0 is
+    kept, so the scaled form at x equals the original at x/rho identically."""
+    return _rescaled(pf, 1.0, rho)
 
 
 def denormalize(pf, leading_weight):
-    """Undo the unit-leading-weight rescaling: divide c0, c1 and residues."""
-    if leading_weight <= 0:
-        raise ValueError("leading_weight must be positive")
-    return replace(pf, c0=pf.c0 / leading_weight,
-                   residues=pf.residues / leading_weight,
-                   c1=pf.c1 / leading_weight)
+    """Undo the unit-leading-weight rescaling: divide c0, c1 and residues by
+    the weight, which must be positive and finite."""
+    return _rescaled(pf, leading_weight, 1.0)
 
 
 def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=FIT_SAMPLES,
@@ -745,11 +747,7 @@ def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=FIT_SAM
             # np.maximum keeps a NaN deviation, which max() could drop.
             pf.validation_error = float(np.maximum(pf.validation_error, between))
             fits[call] = fits[key] = pf
-    # One form for both rescalings, each value in the order denormalize and
-    # then scale_to_interval compute it.
-    weight, rho = norm.leading_weight, func.interval_upper
-    return replace(pf, c0=pf.c0 / weight, residues=pf.residues / weight * rho,
-                   poles=pf.poles * rho, c1=pf.c1 / weight / rho)
+    return _rescaled(pf, norm.leading_weight, func.interval_upper)
 
 
 def fit_for_pencil(alpha, beta, s, t, pencil, tolerance, floor_ratio=None, fits=None):

@@ -14,8 +14,6 @@ from fracra.aaa import (
     BarycentricForm,
     PartialFraction,
     PoleExtractionError,
-    _polish_poles,
-    _symmetrize_conjugates,
     aaa_fit,
     bary_eval,
     denormalize,
@@ -52,18 +50,41 @@ def test_constant_single_step():
     assert pf.validation_error == 0.0
 
 
-def test_unpaired_complex_pole_raises():
-    # The real poles come first, then each pair as its upper pole with the
-    # residue averaged against its conjugate's, and the mask of the pairs.
-    residues = np.array([1.0, 2.0 - 1.0j, 2.0 + 1.0j])
-    p, c, pair = _symmetrize_conjugates(np.array([1.0 - 1.0j, -2.0, 1.0 + 1.0j]),
-                                        residues[[2, 0, 1]])
-    assert p.tolist() == [-2.0, 1.0 + 1.0j]
-    assert c.tolist() == [1.0, 2.0 - 1.0j]
-    assert pair.tolist() == [False, True]
-    for poles in ([-2.0, 1.0 + 1.0j, 3.0 + 1.0j], [-2.0, 1.0 - 1.0j, 3.0 - 1.0j]):
+def fake_eigvals(monkeypatch, change, real_eigvals=scipy.linalg.eigvals):
+    """Make the conversion's generalized eigensolve, its SciPy boundary,
+    return ``change`` applied to the true eigenvalues."""
+    monkeypatch.setattr(scipy.linalg, "eigvals", lambda *args: change(real_eigvals(*args)))
+
+
+def test_unpaired_complex_pole_raises(monkeypatch):
+    # 1/(x + 1) plus a conjugate pair.  Its eigenvalues come back with the
+    # pair's members moved apart by different amounts, and the form still
+    # holds exact conjugates, each pole with its own residue.
+    form = rational_form([-1.0, -0.5 + 0.3j, -0.5 - 0.3j], [1.0, 0.2 - 0.1j, 0.2 + 0.1j])
+
+    def asymmetric(eigs):
+        lower = np.isfinite(eigs) & (eigs.imag < 0)
+        assert np.count_nonzero(lower) == 1
+        eigs = eigs.copy()
+        eigs[lower] = eigs[lower] * (1 + 1e-9) + 1e-10j
+        return eigs
+
+    fake_eigvals(monkeypatch, asymmetric)
+    pf = to_partial_fraction(form)
+    assert pf.pole_audit.as_dict() == {"real_negative": 1, "real_zero": 0,
+                                       "real_positive": 0, "complex_pair": 2}
+    assert pf.poles[1] == np.conj(pf.poles[0]) and pf.poles[0].imag > 0
+    assert pf.residues[1] == np.conj(pf.residues[0])
+    assert pf.poles[:2] == pytest.approx([-0.5 + 0.3j, -0.5 - 0.3j], rel=1e-12)
+    assert pf.residues[:2] == pytest.approx([0.2 - 0.1j, 0.2 + 0.1j], rel=1e-10)
+    assert (pf.poles[2], pf.residues[2]) == pytest.approx((-1.0, 1.0), rel=1e-12)
+    assert pf.validation_error <= pf.tolerance
+    # Without one member of the pair, either one, the other has no partner.
+    for side in (1.0, -1.0):
+        fake_eigvals(monkeypatch,
+                     lambda eigs: eigs[~(np.isfinite(eigs) & (side * eigs.imag > 0))])
         with pytest.raises(PoleExtractionError, match="unpaired complex pole"):
-            _symmetrize_conjugates(np.array(poles), residues)
+            to_partial_fraction(form)
 
 
 def test_one_over_two_x():
@@ -330,30 +351,33 @@ def test_a_missed_fit_takes_one_svd_per_greedy_step(monkeypatch):
 
 
 def test_pole_on_a_support_node_is_dropped_as_non_finite(monkeypatch):
-    # In this pencil fit one polished denominator root lands exactly on a
-    # support node.  Its Cauchy row holds 1/0, so its residue is not finite,
-    # and that one drop gives the form converted without the pole.
+    # In this pencil fit the eigensolve returns one denominator root exactly
+    # on a support node, and the polish leaves it there.  Its Cauchy row
+    # holds 1/0, so its residue is not finite, and that one drop gives the
+    # form converted without the pole.
     x, y, tol, max_degree = pencil_fit_samples(monkeypatch, 128, 1.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         form = aaa_fit(x, y, tol, max_degree)
-    real_polish, polished = aaa_module._polish_poles, []
-
-    def recording_polish(*args):
-        polished.append(real_polish(*args))
-        return polished[-1]
-
-    monkeypatch.setattr(aaa_module, "_polish_poles", recording_polish)
+    eigenvalues = []
+    fake_eigvals(monkeypatch, lambda eigs: eigenvalues.append(eigs) or eigs)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pf = to_partial_fraction(form)
-    on_node = np.isin(polished[0], form.support_points)
+    on_node = np.isin(eigenvalues[0], form.support_points)
     assert np.count_nonzero(on_node) == 1
     assert [str(w.message) for w in caught] == ["dropping pole with non-finite residue"]
-    monkeypatch.setattr(aaa_module, "_polish_poles",
-                        lambda *args: polished[0][~on_node])
-    without = to_partial_fraction(form)
-    assert (pf.c0, pf.c1) == (without.c0, without.c1)
+    # The polished poles hold the samples as closely as the interpolant does
+    # (unpolished, the deviation is about 500 times larger).
+    assert pf.validation_error <= 2 * form.achieved_error
+    # Without that eigenvalue the denominator is one finite root short, so
+    # the conversion tries the fold; it must reject it to give the same form.
+    fake_eigvals(monkeypatch, lambda eigs: eigs[~np.isin(eigs, form.support_points)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        without = to_partial_fraction(form)
+    assert pf.c1 == without.c1 == 0.0
+    assert pf.c0 == without.c0
     assert np.array_equal(pf.poles, without.poles)
     assert np.array_equal(pf.residues, without.residues)
 
@@ -366,11 +390,12 @@ def rational_form(poles, residues, fit_error=1e-13, tolerance=1e-12):
     poles, residues = np.asarray(poles), np.asarray(residues)
     grid = np.geomspace(1e-3, 1.0, 200)
     support = grid[np.linspace(0, grid.size - 1, poles.size + 1).astype(int)]
-    weights = np.array([np.prod(z - poles) / np.prod(z - np.delete(support, j))
-                        for j, z in enumerate(support)])
+    # Conjugate pairs make both real up to rounding.
+    weights = np.real([np.prod(z - poles) / np.prod(z - np.delete(support, j))
+                       for j, z in enumerate(support)])
 
     def r(x):
-        return (residues / (x[:, None] - poles)).sum(axis=1)
+        return np.real((residues / (x[:, None] - poles)).sum(axis=1))
 
     return BarycentricForm(support, r(support), weights, fit_error, tolerance,
                            grid=grid, grid_values=r(grid))
@@ -396,13 +421,42 @@ def test_fold_takes_the_farthest_real_pole(monkeypatch, reverse):
     # Two real poles lie beyond FOLD_RATIO times the grid.  Only the farther
     # one is linear on the grid to within the tolerance, so in whichever order
     # the eigensolve returns the poles, it is the one folded into c1.
-    real_polish = aaa_module._polish_poles
-    monkeypatch.setattr(aaa_module, "_polish_poles",
-                        lambda *args: real_polish(*args)[::-1 if reverse else 1])
+    fake_eigvals(monkeypatch, lambda eigs: eigs[::-1 if reverse else 1])
     pf = to_partial_fraction(rational_form([-1.0, -1e4, -1e6], [1.0, 1e2, 1e4]))
     assert pf.c1 != 0.0
     assert np.sort(pf.poles.real) == pytest.approx([-1e4, -1.0], rel=1e-3)
     assert pf.validation_error <= 1e-13
+
+
+def two_node_form(func):
+    """The two-node form with weights (1, -1) of ``func`` sampled on 50
+    points of [1e-2, 1], its nodes at the ends.  The weights sum to zero, so
+    the denominator has no finite root and the interpolant is the line
+    through the two nodes."""
+    grid = np.geomspace(1e-2, 1.0, 50)
+    support = grid[[0, -1]]
+    line = func(support[0]) + (grid - support[0]) * (
+        (func(support[1]) - func(support[0])) / (support[1] - support[0]))
+    return BarycentricForm(support, func(support), [1.0, -1.0],
+                           np.max(np.abs(line - func(grid))), 1e-12,
+                           grid=grid, grid_values=func(grid))
+
+
+def test_a_lost_degree_folds_into_the_linear_term():
+    # Samples of 3x + 1: unfolded, the form has no pole and c0 = -inf, the
+    # interpolant's value at infinity.  The fold replaces it with the line.
+    pf = to_partial_fraction(two_node_form(lambda x: 3 * x + 1))
+    assert pf.degree == 0
+    assert pf.c0 == pytest.approx(1.0, rel=1e-14)
+    assert pf.c1 == pytest.approx(3.0, rel=1e-14)
+    assert pf.validation_error <= 1e-14
+
+
+def test_no_finite_value_at_infinity_raises():
+    # Samples of 1/x: the line through the two nodes misses the samples
+    # between them, so the fold is rejected and c0 stays +inf.
+    with pytest.raises(PoleExtractionError, match="no finite value at infinity"):
+        to_partial_fraction(two_node_form(lambda x: 1 / x))
 
 
 def scalar_newton_polish(poles, zj, wj, max_steps=10):
@@ -457,7 +511,7 @@ def test_polish_matches_scalar_newton(alpha, beta, s, t):
         eigs + 1e-3j * np.abs(eigs),
         zj[:2],
     ])
-    got = _polish_poles(starts, zj, wj)
+    got = aaa_module._polish_poles(starts, zj, wj)
     want = scalar_newton_polish(starts, zj, wj)
     assert np.array_equal(got, want)
     assert not np.array_equal(got, starts)
@@ -549,8 +603,9 @@ def test_scale_to_interval_example():
     assert same.residues[0] == 2.0 and same.poles[0] == -1.0
     assert same.c1 == 3.0
 
-    with pytest.raises(ValueError):
-        scale_to_interval(pf, 0.0)
+    for rho in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            scale_to_interval(pf, rho)
 
 
 def test_scale_to_interval_identity_random():
@@ -583,8 +638,9 @@ def test_denormalize():
     x = np.linspace(0.1, 2.0, 20)
     assert np.allclose(eval_pf(scaled, x), eval_pf(pf, x) / 100.0,
                        rtol=4 * EPS, atol=0)
-    with pytest.raises(ValueError):
-        denormalize(pf, 0.0)
+    for weight in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="leading_weight must be positive and finite"):
+            denormalize(pf, weight)
 
 
 def test_denormalized_fit_approximates_original():
