@@ -357,10 +357,10 @@ class PartialFraction:
         self.c0 = float(self.c0)
         self.c1 = float(self.c1)
         real_mask = self.poles.imag == 0.0
-        if np.any(self.residues[real_mask].imag != 0.0):
+        if np.count_nonzero(self.residues.imag[real_mask]):
             raise ValueError("residues of real poles must be real")
-        nonreal = ~real_mask
-        if np.any(nonreal):
+        if not real_mask.all():
+            nonreal = ~real_mask
             units = Counter(zip(self.poles[nonreal].tolist(), self.residues[nonreal].tolist()))
             mirrored = Counter(
                 (np.conj(p), np.conj(c)) for (p, c) in units.elements()
@@ -680,15 +680,17 @@ def sup_error(pf, func, validation_grid):
     return float(np.max(np.abs(evaluate(func, grid) - eval_pf(pf, grid))))
 
 
-def _rescaled(pf, weight, rho):
-    """The form pf(x / rho) / weight, for a weight and rho that are positive
-    and finite; either one that is not raises ValueError."""
+def _rescaled(pf, weight, rho, scale=1.0):
+    """The form scale * pf(x / rho) / weight, for a weight and rho that are
+    positive and finite; either one that is not raises ValueError.  c0, c1
+    and the residues are divided before they are multiplied by the scale."""
     if not 0 < weight < np.inf:
         raise ValueError("leading_weight must be positive and finite")
     if not 0 < rho < np.inf:
         raise ValueError("interval scaling factor rho must be positive and finite")
-    return replace(pf, c0=pf.c0 / weight, residues=pf.residues / weight * rho,
-                   poles=pf.poles * rho, c1=pf.c1 / weight / rho)
+    return replace(pf, c0=scale * (pf.c0 / weight),
+                   residues=scale * (pf.residues / weight * rho),
+                   poles=pf.poles * rho, c1=scale * (pf.c1 / weight / rho))
 
 
 def scale_to_interval(pf, rho):
@@ -705,7 +707,7 @@ def denormalize(pf, leading_weight):
 
 
 def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=FIT_SAMPLES,
-                       floor_ratio=DEFAULT_FLOOR_RATIO, fits=None):
+                       floor_ratio=DEFAULT_FLOOR_RATIO, fits=None, scale=1.0):
     """Fit the reciprocal fractional-sum ``func`` on its interval.
 
     The function is pulled back to (0, 1], its dominant weight divided out,
@@ -721,6 +723,10 @@ def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=FIT_SAM
     the normalized target; ``validation_error`` is the larger of the two
     deviations, so ``converged`` also judges the form between its samples.
 
+    ``scale``, positive and finite (else ValueError), multiplies c0, c1 and
+    the residues in the same construction as the rescalings, so the form
+    approximates ``scale * func`` with the unscaled fit's poles and errors.
+
     ``fits``, a dict the caller holds, reuses converted forms across calls.
     A fit that runs stores the validated normalized form, before the
     rescalings, under two keys: its call ``(func, tolerance, max_degree,
@@ -729,9 +735,12 @@ def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=FIT_SAM
     A repeated call finds its form without sampling; another call whose
     samples are already in the dict finds it by the digest and stores
     nothing.  Either hit skips the fit, the conversion and the midpoint
-    check, so the dict grows exactly when a fit runs, and the rescalings
-    give the caller a new form, bitwise equal to a fresh fit's.
+    check, so the dict grows exactly when a fit runs, and a repeated call is
+    the lookup plus one rescaling, which gives the caller a new form,
+    bitwise equal to a fresh fit's.
     """
+    if not 0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     norm = normalize(to_unit_interval(func))
     fits = {} if fits is None else fits
     call = (func, tolerance, max_degree, n_samples, floor_ratio)
@@ -747,10 +756,11 @@ def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=FIT_SAM
             # np.maximum keeps a NaN deviation, which max() could drop.
             pf.validation_error = float(np.maximum(pf.validation_error, between))
             fits[call] = fits[key] = pf
-    return _rescaled(pf, norm.leading_weight, func.interval_upper)
+    return _rescaled(pf, norm.leading_weight, func.interval_upper, scale)
 
 
-def fit_for_pencil(alpha, beta, s, t, pencil, tolerance, floor_ratio=None, fits=None):
+def fit_for_pencil(alpha, beta, s, t, pencil, tolerance, floor_ratio=None, fits=None,
+                   scale=1.0):
     """Fit 1/(alpha*x**s + beta*x**t) over the pencil's spectral interval.
 
     The fit interval is (0, rho] with rho the pencil's stored upper bound on
@@ -759,13 +769,15 @@ def fit_for_pencil(alpha, beta, s, t, pencil, tolerance, floor_ratio=None, fits=
     a possible eigenvalue below the smallest one (the generalized spectrum of
     an assembled pencil lies in [lambda_min, rho] and the fit only has to be
     accurate there), which keeps the pole count low on fine meshes.
-    ``fits`` is passed on to :func:`fit_fractional_sum`.
+    ``fits`` and ``scale`` are passed on to :func:`fit_fractional_sum`, so a
+    repeated call with a ``fits`` dict is a lookup plus one rescaling, and
+    the form approximates ``scale / (alpha*x**s + beta*x**t)``.
     """
     if floor_ratio is None:
         floor_ratio = min(DEFAULT_FLOOR_RATIO, 0.5 / pencil.rho_bound)
     func = FractionalSumFunction(alpha, beta, s, t, pencil.rho_bound)
     return fit_fractional_sum(func, tolerance, MAX_DEGREE, PENCIL_SAMPLES, floor_ratio,
-                              fits=fits)
+                              fits=fits, scale=scale)
 
 
 def partial_fraction_to_dict(pf):

@@ -16,7 +16,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -207,15 +207,16 @@ def _fit_preconditioner(pencil, mu, K, tol_ra, fits=None, floor_ratio=None):
     """Fit the reciprocal interface symbol mu / (x^-1/2 + K x^1/2).
 
     Viscosity is an exact scale of the symbol, so the mu = 1 target is
-    fitted and c0, c1 and the residues are multiplied by mu: every mu on one
-    (K, pencil) gets the poles of one fit.  Returns ``(pf, fit_seconds)``;
-    the time covers the fit, pole extraction and the scaling.  ``fits`` and
+    fitted and :func:`fit_for_pencil` multiplies c0, c1 and the residues by
+    mu as its ``scale``, in the one construction of the returned form: every
+    mu on one (K, pencil) gets the poles of one fit, and a repeated call is
+    a lookup plus one rescaling.  Returns ``(pf, fit_seconds)``; the time
+    covers the fit, pole extraction and the scaling.  ``fits`` and
     ``floor_ratio`` are passed on to :func:`fit_for_pencil`.
     """
     tic = time.perf_counter()
     pf = fit_for_pencil(1.0, K, -0.5, 0.5, pencil, tol_ra, floor_ratio=floor_ratio,
-                        fits=fits)
-    pf = replace(pf, c0=mu * pf.c0, c1=mu * pf.c1, residues=mu * pf.residues)
+                        fits=fits, scale=mu)
     return pf, time.perf_counter() - tic
 
 
@@ -305,8 +306,9 @@ def robustness_sweep(mu_grid=ROBUSTNESS_MUS, K_grid=ROBUSTNESS_KS,
     :meth:`RationalOperator.reweighted`, which applies bitwise as a fresh
     build would.  Both dicts are made for this call and dropped when it
     returns.  ``setup_seconds`` times the fit, pole extraction and scaling
-    by mu, or for a point marked ``fit_reused`` the lookup and rescalings;
-    it and the fit's columns are recorded before the build.  The tolerances,
+    by mu, or for a point marked ``fit_reused`` the lookup and the one
+    rescaling, which folds in mu as :func:`fit_for_pencil`'s ``scale``; it
+    and the fit's columns are recorded before the build.  The tolerances,
     mu and K (positive and finite) and audit_trials (>= 1) are checked, and
     each mesh's pencil and shared right-hand side built, before the grid.
     """

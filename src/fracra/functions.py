@@ -8,6 +8,7 @@ beta*x**t`` and the object of interest is its reciprocal on an interval
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ class FractionalSumFunction:
     def __post_init__(self):
         for name in ("alpha", "beta", "s", "t", "interval_upper"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("weights alpha, beta must be nonnegative")

@@ -107,6 +107,15 @@ def _check_stop(tol, max_iter, stop):
         raise ValueError("stop must be 'abs' or 'rel'")
 
 
+def _finite_rhs(b):
+    """b as a float array; a NaN or infinite entry raises ValueError, before
+    any apply could turn it into an indefinite-preconditioner verdict."""
+    b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():
+        raise ValueError("the right-hand side must be finite")
+    return b
+
+
 def pcg(system, precond, b, tol=1e-10, max_iter=500, stop="abs"):
     """Preconditioned conjugate gradients from a zero initial guess.
 
@@ -114,12 +123,13 @@ def pcg(system, precond, b, tol=1e-10, max_iter=500, stop="abs"):
     an ``apply`` method; ``precond=None`` means no preconditioning.  Returns
     ``(x, SolveReport)``.  A nonpositive curvature direction raises
     CurvatureBreakdownError; exceeding ``max_iter`` returns with
-    ``converged=False``.
+    ``converged=False``.  A right-hand side with a NaN or infinite entry
+    raises ValueError before the first apply.
     """
     _check_stop(tol, max_iter, stop)
     amat = _as_matvec(system)
     papply = _Preconditioner(precond, "pcg")
-    b = np.asarray(b, dtype=float)
+    b = _finite_rhs(b)
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -161,11 +171,13 @@ def minres(system, precond, b, tol=1e-10, max_iter=500, stop="abs"):
     The system must be symmetric (definiteness is not required); the
     preconditioner must be SPD.  The tracked quantity is the preconditioned
     residual norm, which is non-increasing.  Returns ``(x, SolveReport)``.
+    A right-hand side with a NaN or infinite entry raises ValueError before
+    the first apply.
     """
     _check_stop(tol, max_iter, stop)
     amat = _as_matvec(system)
     papply = _Preconditioner(precond, "minres")
-    b = np.asarray(b, dtype=float)
+    b = _finite_rhs(b)
 
     n = b.size
     x = np.zeros(n)

@@ -346,7 +346,7 @@ class RationalOperator:
             self.factor_seconds.append(time.perf_counter() - tic)
         # What the stacked solve reads of the rows besides the buffer
         self._buffer = buffer
-        self._index = np.array(index, dtype=np.intp)
+        self._index = index
         self._border = np.array(borders)
         self._pivots = np.array(pivots)
         self._full = np.array(full)
@@ -444,7 +444,8 @@ class RationalOperator:
                     last[row - lo] -= w @ head[start:start + w.size]
         last /= self._pivots[lo:hi]
         block[:] = head
-        block[:, self._index] -= last[:, None] * self._border[lo:hi]
+        for j, i in enumerate(self._index):
+            block[:, i] -= last * self._border[lo:hi, j]
         dpttrs(self._buffer[0, lo:hi].reshape(-1), self._buffer[1, lo:hi].reshape(-1)[:-1],
                block.reshape(-1), overwrite_b=1)
         return last

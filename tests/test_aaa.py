@@ -903,6 +903,52 @@ def test_a_repeated_call_skips_the_sampling_and_the_fit(monkeypatch):
                    for b in (first.poles, first.residues, *first.terms))
 
 
+def scaled_by(pf, mu):
+    """The form mu * pf, as a caller would scale a returned form."""
+    return replace(pf, c0=mu * pf.c0, c1=mu * pf.c1, residues=mu * pf.residues)
+
+
+def bitwise_form(a, b):
+    return (np.array([a.c0, a.c1]).tobytes() == np.array([b.c0, b.c1]).tobytes()
+            and a.poles.tobytes() == b.poles.tobytes()
+            and a.residues.tobytes() == b.residues.tobytes()
+            and (a.fit_error, a.validation_error) == (b.fit_error, b.validation_error))
+
+
+# The fit of the 48-cell target reaches a rank-deficient greedy step and
+# drops a pole with a non-finite residue.
+@pytest.mark.filterwarnings("ignore:rank-deficient barycentric weight solve")
+@pytest.mark.filterwarnings("ignore:dropping pole with non-finite residue")
+@pytest.mark.parametrize("mu", [1e-6, 3.0, 1e2])
+def test_a_scaled_fit_is_the_unscaled_form_times_the_scale(mu):
+    # The 48-cell K = 0.01 target carries a conjugate pair, and s = t = -1
+    # is the line x / 3, whose form has c1 != 0.
+    pencil = assemble_interface(48)
+    unit = fit_for_pencil(1.0, 0.01, -0.5, 0.5, pencil, 1e-12)
+    assert unit.terms[2].any()
+    fits = {}
+    for _ in range(2):  # a fresh fit, then a repeated call on the dict
+        pf = fit_for_pencil(1.0, 0.01, -0.5, 0.5, pencil, 1e-12, fits=fits, scale=mu)
+        assert bitwise_form(pf, scaled_by(unit, mu))
+    line = FractionalSumFunction(1.0, 2.0, -1, -1, 4.0)
+    unit = fit_fractional_sum(line, 1e-12)
+    assert unit.c1 != 0.0
+    assert bitwise_form(fit_fractional_sum(line, 1e-12, scale=mu), scaled_by(unit, mu))
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+def test_a_scale_that_is_not_positive_and_finite_raises(scale, monkeypatch):
+    # The scale is checked before the fit, so nothing is fitted or stored.
+    calls = counted_fits(monkeypatch)
+    fits = {}
+    f = FractionalSumFunction(1.0, 1.0, -0.5, 0.5, 1.0)
+    with pytest.raises(ValueError, match=f"scale must be positive and finite, got {scale!r}"):
+        fit_fractional_sum(f, 1e-10, fits=fits, scale=scale)
+    assert not calls and not fits
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        fit_for_pencil(1.0, 1.0, -0.5, 0.5, assemble_interface(16), 1e-10, scale=scale)
+
+
 def spike_between_samples(monkeypatch, tol):
     """Make every conversion add a positive pole just off the midpoint of two
     middle grid points, with a residue that keeps the form within ``tol`` on

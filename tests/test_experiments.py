@@ -415,6 +415,45 @@ def test_interface_form_is_the_unit_viscosity_form_scaled():
         assert np.max(np.abs(pf(x) / target - 1.0)) < 1e-10
 
 
+# The fit of the 48-cell target reaches a rank-deficient greedy step and
+# drops a pole with a non-finite residue.
+@pytest.mark.filterwarnings("ignore:rank-deficient barycentric weight solve")
+@pytest.mark.filterwarnings("ignore:dropping pole with non-finite residue")
+def test_the_preconditioner_fit_is_the_unit_fit_scaled_bitwise():
+    # The 48-cell K = 0.01 target carries a conjugate pair.
+    pencil, K = assemble_interface(48), 1e-2
+    unit = aaa.fit_for_pencil(1.0, K, -0.5, 0.5, pencil, 1e-12)
+    assert unit.terms[2].any()
+    fits = {}
+    for mu in (1e-6, 3.0, 1e2):
+        want = dataclasses.replace(unit, c0=mu * unit.c0, c1=mu * unit.c1,
+                                   residues=mu * unit.residues)
+        for pf in (experiments._fit_preconditioner(pencil, mu, K, 1e-12)[0],
+                   experiments._fit_preconditioner(pencil, mu, K, 1e-12, fits)[0]):
+            assert np.array([pf.c0, pf.c1]).tobytes() == np.array([want.c0, want.c1]).tobytes()
+            assert pf.poles.tobytes() == want.poles.tobytes()
+            assert pf.residues.tobytes() == want.residues.tobytes()
+            assert (pf.fit_error, pf.validation_error) == (want.fit_error, want.validation_error)
+
+
+def test_a_repeated_preconditioner_fit_builds_one_form(monkeypatch):
+    # The lookup returns the stored form, and one construction rescales it
+    # and scales it by mu.
+    pencil = assemble_interface(64)
+    fits = {}
+    experiments._fit_preconditioner(pencil, 3.0, 1e-4, 1e-12, fits)
+    built = []
+    real_post_init = aaa.PartialFraction.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(aaa.PartialFraction, "__post_init__", counted)
+    pf, _ = experiments._fit_preconditioner(pencil, 1e2, 1e-4, 1e-12, fits)
+    assert built == [pf]
+
+
 def test_pole_sweep_fits_mirrored_rows_once(monkeypatch):
     # (s, t, alpha, beta) and (t, s, beta, alpha) are one function.
     seen = fit_layer(monkeypatch)

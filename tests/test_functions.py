@@ -23,6 +23,10 @@ def test_valid_construction():
     (-1.0, 1.0, 0.5, 0.5, 1.0),     # negative weight
     (1.0, 1.0, 0.5, 0.5, 0.0),      # empty interval
     (1.0, 1.0, 0.5, 0.5, -2.0),
+    # nan and inf in each of the five fields
+    *[tuple(bad if k == field else good
+            for k, good in enumerate((1.0, 1.0, 0.5, 0.5, 1.0)))
+      for field in range(5) for bad in (np.nan, np.inf)],
 ])
 def test_invalid_construction(args):
     with pytest.raises(ValueError):

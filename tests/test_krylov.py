@@ -124,6 +124,21 @@ def test_non_finite_preconditioner_raises(solver):
         solver(A, NanAfter(1), b)
 
 
+@pytest.mark.parametrize("solver", [pcg, minres])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_right_hand_side_is_invalid_input(solver, bad):
+    # A NaN or infinite entry is invalid input, not an indefinite
+    # preconditioner: it raises before the first apply.
+    A = spd_test_matrix(20, seed=3)
+    b = np.random.default_rng(3).standard_normal(20)
+    b[7] = bad
+    unapplied = NanAfter(0)
+    for precond in (None, unapplied):
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            solver(A, precond, b)
+    assert unapplied.calls == 0
+
+
 def test_max_iter_exceeded_reports_not_converged():
     pencil = assemble_interval(100, periodic=False)
     b = np.random.default_rng(7).standard_normal(pencil.n_c)
