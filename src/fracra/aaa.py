@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -293,12 +293,7 @@ class PoleAudit:
         return self.real_positive == 0 and self.complex_pair == 0
 
     def as_dict(self):
-        return {
-            "real_negative": self.real_negative,
-            "real_zero": self.real_zero,
-            "real_positive": self.real_positive,
-            "complex_pair": self.complex_pair,
-        }
+        return asdict(self)
 
 
 def _audit_poles(p, pair):
@@ -405,15 +400,15 @@ def _symmetrize_conjugates(poles, residues):
     """Strip eigensolver noise off real poles and average each complex pole
     with its nearest conjugate.  Returns complex ``(p, c, pair)``: the real
     poles first, then each conjugate pair as its upper pole, and the mask of
-    the pairs.  Raises PoleExtractionError if a complex pole has no
-    conjugate."""
+    the pairs.  ``c`` is each pole's own residue, a pair's its upper pole's:
+    only its modulus is read, as the kept residues are re-solved by least
+    squares.  Raises PoleExtractionError if a complex pole has no conjugate."""
     poles = np.asarray(poles, dtype=complex)
     residues = np.asarray(residues, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(poles))) if poles.size else 1.0)
     real_mask = np.abs(poles.imag) <= REAL_IMAG_RTOL * scale
 
     cpoles = poles[~real_mask]
-    cres = residues[~real_mask]
     upper = sorted(
         np.flatnonzero(cpoles.imag > 0), key=lambda k: (cpoles[k].real, cpoles[k].imag)
     )
@@ -428,8 +423,7 @@ def _symmetrize_conjugates(poles, residues):
     upper, partner = np.array(upper, dtype=int), np.array(partner, dtype=int)
     p = np.concatenate([poles[real_mask].real,
                         0.5 * (cpoles[upper] + np.conj(cpoles[partner]))], dtype=complex)
-    c = np.concatenate([residues[real_mask].real,
-                        0.5 * (cres[upper] + np.conj(cres[partner]))], dtype=complex)
+    c = np.concatenate([residues[real_mask].real, residues[~real_mask][upper]], dtype=complex)
     return p, c, np.arange(p.size) >= np.count_nonzero(real_mask)
 
 
@@ -543,10 +537,11 @@ def to_partial_fraction(form):
     The form must carry its fit grid in ascending order, as every form of
     :func:`aaa_fit` does; a form without one raises ValueError.  Poles are the finite generalized
     eigenvalues of the arrowhead pencil built from the weights and support
-    points, polished by Newton steps on the barycentric denominator.
-    Residues start from the numerator over the denominator derivative at each
-    pole and are then re-solved by least squares on the grid, which keeps the
-    converted form consistent with the interpolant to machine level.
+    points, polished by Newton steps on the barycentric denominator, and each
+    complex pole averaged with its nearest conjugate.  The pole-limit
+    residues (a pair's at its upper pole) only decide which poles are kept;
+    the kept ones are re-solved by least squares on the grid, which keeps
+    the converted form consistent with the interpolant to machine level.
     A pole whose residue is not finite, as one exactly on a support node, is
     dropped with a RuntimeWarning.  Spurious poles with negligible residues
     are dropped and the form is validated on the grid points only: its
@@ -751,8 +746,7 @@ def fit_fractional_sum(func, tolerance, max_degree=MAX_DEGREE, n_samples=FIT_SAM
         pf = fits.get(key)
         if pf is None:
             pf = to_partial_fraction(aaa_fit(xs, ys, tolerance, max_degree))
-            mid = np.sqrt(xs[:-1] * xs[1:])
-            between = np.max(np.abs(eval_pf(pf, mid) - evaluate(norm.scaled, mid)))
+            between = sup_error(pf, norm.scaled, np.sqrt(xs[:-1] * xs[1:]))
             # np.maximum keeps a NaN deviation, which max() could drop.
             pf.validation_error = float(np.maximum(pf.validation_error, between))
             fits[call] = fits[key] = pf

@@ -196,9 +196,15 @@ def build_parser():
     p_solve.set_defaults(func=cmd_solve_interface)
 
     p_sweep = sub.add_parser("sweep", help="run a full sweep and write CSV")
+    p_sweep.set_defaults(func=cmd_sweep)
     sweep_sub = p_sweep.add_subparsers(dest="sweep_kind", required=True)
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", default=None)
+    outputs.add_argument("--summary", default=None)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[outputs])
+    seeded.add_argument("--seed", type=int, default=0)
 
-    p_poles = sweep_sub.add_parser("poles")
+    p_poles = sweep_sub.add_parser("poles", parents=[outputs])
     p_poles.add_argument("--tol", type=float, default=1e-12)
     p_poles.add_argument("--exponents", type=_floats,
                          default=experiments.EXPONENT_GRID)
@@ -207,32 +213,21 @@ def build_parser():
     p_poles.add_argument("--betas", type=_floats,
                          default=experiments.POLE_SWEEP_BETAS)
     p_poles.add_argument("--max-degree", type=int, default=MAX_DEGREE)
-    p_poles.add_argument("--out", default=None)
-    p_poles.add_argument("--summary", default=None)
-    p_poles.set_defaults(func=cmd_sweep)
 
-    p_rob = sweep_sub.add_parser("robustness")
+    p_rob = sweep_sub.add_parser("robustness", parents=[seeded])
     p_rob.add_argument("--tol-ra", type=float, default=1e-12)
     p_rob.add_argument("--tol-krylov", type=float, default=1e-10)
     p_rob.add_argument("--mus", type=_floats, default=experiments.ROBUSTNESS_MUS)
     p_rob.add_argument("--Ks", type=_floats, default=experiments.ROBUSTNESS_KS)
     p_rob.add_argument("--meshes", type=_ints,
                        default=experiments.ROBUSTNESS_MESHES)
-    p_rob.add_argument("--seed", type=int, default=0)
-    p_rob.add_argument("--out", default=None)
-    p_rob.add_argument("--summary", default=None)
-    p_rob.set_defaults(func=cmd_sweep)
 
-    p_cx = sweep_sub.add_parser("complexity")
+    p_cx = sweep_sub.add_parser("complexity", parents=[seeded])
     p_cx.add_argument("--meshes", type=_ints,
                       default=experiments.COMPLEXITY_MESHES)
     p_cx.add_argument("--tols", type=_floats, default=(1e-12,))
     p_cx.add_argument("--mu", type=float, default=1e-2)
     p_cx.add_argument("--K", type=float, default=1e-6)
-    p_cx.add_argument("--seed", type=int, default=0)
-    p_cx.add_argument("--out", default=None)
-    p_cx.add_argument("--summary", default=None)
-    p_cx.set_defaults(func=cmd_sweep)
 
     p_pencil = sub.add_parser("pencil", help="assemble a pencil and export it")
     p_pencil.add_argument("--kind", choices=("dirichlet", "periodic",

@@ -16,13 +16,13 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-from .aaa import MAX_DEGREE, fit_for_pencil, fit_fractional_sum
+from .aaa import MAX_DEGREE, PoleAudit, fit_for_pencil, fit_fractional_sum
 from .functions import FractionalSumFunction, normalize
 from .krylov import minres, pcg
 from .operator import RationalOperator, spd_audit
@@ -94,18 +94,16 @@ class SweepRecord:
     failure: str = ""
 
     def fill_pf(self, pf):
-        audit = pf.pole_audit
         self.n_poles = pf.degree
         self.achieved_error = pf.fit_error
         self.pf_error = pf.validation_error
-        self.real_negative = audit.real_negative
-        self.real_zero = audit.real_zero
-        self.real_positive = audit.real_positive
-        self.complex_pair = audit.complex_pair
+        vars(self).update(pf.pole_audit.as_dict())
 
     @property
     def all_real_nonpositive(self):
-        return self.real_positive == 0 and self.complex_pair == 0
+        # PoleAudit's rule; False on a row whose fit failed, as its counts are None.
+        audit = PoleAudit(*(getattr(self, f.name) for f in fields(PoleAudit)))
+        return audit.all_real_nonpositive
 
 
 _CSV_COLUMNS = {
@@ -425,7 +423,8 @@ def write_sweep_csv(records, path):
 
 
 def summarize_records(records):
-    """Aggregate extremes used by the CLI summaries."""
+    """Aggregate extremes used by the CLI summaries.  ``n_tol_miss`` counts the
+    fitted records with max(achieved_error, pf_error) > tolerance, NaN included."""
     def values(name):
         return [getattr(r, name) for r in records if getattr(r, name) is not None]
 
@@ -445,9 +444,13 @@ def summarize_records(records):
         if vals:
             summary[f"{name}_min"] = float(min(vals))
             summary[f"{name}_max"] = float(max(vals))
-    errors = values("achieved_error")
-    if errors:
-        summary["max_achieved_error"] = float(max(errors))
+    for name in ("achieved_error", "pf_error"):
+        vals = values(name)
+        if vals:
+            # np.max keeps a NaN error, which max() could drop.
+            summary[f"max_{name}"] = float(np.max(vals))
+    summary["n_tol_miss"] = sum(1 for r in records if r.achieved_error is not None and not (
+        r.achieved_error <= r.tolerance and r.pf_error <= r.tolerance))
     return summary
 
 

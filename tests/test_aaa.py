@@ -834,20 +834,30 @@ def stored_forms(fits):
 
 
 def test_fits_dict_reuses_a_fit_of_the_same_normalized_samples(monkeypatch):
-    # Both functions normalize to 1/(x**-0.5 + 0.5 x**0.5) on (0, 1]: one fit,
-    # and each call's form is bitwise that of a fit without a dict.
-    f, g = (FractionalSumFunction(a, 0.5 * a, -0.5, 0.5, 1.0) for a in (2.0, 4.0))
-    fresh = [fit_fractional_sum(func, 1e-10) for func in (f, g)]
+    # The first two functions normalize to 1/(x**-0.5 + 0.5 x**0.5) on (0, 1].
+    # The other two normalize to functions whose small weights differ in the
+    # last bit (1.0000000000000001e-07 against 1e-07), yet their samples are
+    # bitwise equal, so only the digest of the samples finds the fit.  Each
+    # pair takes one fit, and each call's form is bitwise that of a fit
+    # without a dict.
+    pairs = [tuple(FractionalSumFunction(a, 0.5 * a, -0.5, 0.5, 1.0) for a in (2.0, 4.0)),
+             (FractionalSumFunction(1e-9, 1e-2, -0.8, -1.0),
+              FractionalSumFunction(1e-3, 1e-10, -1.0, -0.8))]
+    f, g = pairs[1]
+    assert normalize(f).scaled != normalize(g).scaled
+    fresh = [[fit_fractional_sum(func, 1e-10) for func in pair] for pair in pairs]
     calls = counted_fits(monkeypatch)
-    fits = {}
-    forms, sizes = [], []
-    for func in (f, g):
-        forms.append(fit_fractional_sum(func, 1e-10, fits=fits))
-        sizes.append(len(fits))
-    # The call that found its samples in the dict adds no entry.
-    assert len(calls) == 1 and len(stored_forms(fits)) == 1 and sizes[0] == sizes[1]
-    assert all(map(same_form, forms, fresh))
-    assert not same_form(forms[0], forms[1])
+    for pair, want in zip(pairs, fresh):
+        calls.clear()
+        fits = {}
+        forms, sizes = [], []
+        for func in pair:
+            forms.append(fit_fractional_sum(func, 1e-10, fits=fits))
+            sizes.append(len(fits))
+        # The call that found its samples in the dict adds no entry.
+        assert len(calls) == 1 and len(stored_forms(fits)) == 1 and sizes[0] == sizes[1]
+        assert all(map(same_form, forms, want))
+        assert not same_form(forms[0], forms[1])
 
 
 def test_writing_into_a_reused_form_cannot_reach_the_dict_entry():

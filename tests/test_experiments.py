@@ -228,7 +228,7 @@ def test_complexity_study_records():
     assert all(r.converged for r in records)
 
 
-def test_csv_and_summary_round_trip(tmp_path):
+def test_csv_and_summary_round_trip(tmp_path, capsys):
     records = pole_sweep(tolerance=1e-10, exponents=(0.0, 1.0),
                          alphas=(1.0,), betas=(1.0,))
     path = tmp_path / "poles.csv"
@@ -253,6 +253,28 @@ def test_csv_and_summary_round_trip(tmp_path):
     stats = summarize_records(records)
     assert stats["n_failures"] == 0
     assert stats["max_poles"] >= 1
+    assert stats["n_tol_miss"] == 0
+    assert stats["max_pf_error"] == max(r.pf_error for r in records) <= 1e-10
+
+    # The barycentric fit of (s, t, alpha, beta) = (-1, -0.8, 1, 1e-2) meets
+    # 1e-12, but its pole/residue form misses it, on the fit grid already:
+    # only pf_error shows the miss, and the summary counts it.
+    records = pole_sweep(tolerance=1e-12, exponents=(-1.0, -0.8), alphas=(1.0,), betas=(1e-2,))
+    (missed,) = [r for r in records if r.pf_error > r.tolerance]
+    assert (missed.s, missed.t) == (-1.0, -0.8)
+    assert missed.achieved_error <= missed.tolerance
+    stats = write_sweep_summary(records, summary_path)["summary"]
+    assert json.loads(summary_path.read_text())["summary"] == stats
+    assert stats["n_tol_miss"] == 1 and stats["n_failures"] == 0
+    assert stats["max_achieved_error"] <= 1e-12 < stats["max_pf_error"] == missed.pf_error
+    # A NaN error is a miss too, and the largest error reads NaN.
+    stats = summarize_records([*records, dataclasses.replace(records[0], pf_error=np.nan)])
+    assert stats["n_tol_miss"] == 2 and np.isnan(stats["max_pf_error"])
+    # fracra sweep prints both.
+    main(["sweep", "poles", "--tol", "1e-12", "--exponents=-1,-0.8", "--alphas", "1",
+          "--betas", "0.01", "--out", str(tmp_path / "missed.csv")])
+    out = capsys.readouterr().out
+    assert "n_tol_miss=1\n" in out and f"max_pf_error={missed.pf_error}\n" in out
 
 
 def test_iterations_insensitive_to_fit_tolerance():
@@ -379,6 +401,10 @@ def test_robustness_sweep_fits_each_sample_set_once(monkeypatch):
     assert sorted(set(ran)) == [0, 1]
     assert [r.fit_reused for r in records] == [n == 0 for n in ran]
     assert [r.fit_reused for r in records] == [r.mu != mus[0] for r in records]
+    # A record judges its poles by the rule of its form's audit.
+    clean = [r.all_real_nonpositive for r in records]
+    assert clean == [form.pole_audit.all_real_nonpositive for form in forms]
+    assert sorted(set(clean)) == [False, True]
     for rec, form in zip(records, list(forms)):
         forms.clear()
         (alone,) = robustness_sweep(mu_grid=(rec.mu,), K_grid=(rec.K,),
@@ -631,6 +657,8 @@ def test_sweep_records_a_failed_point_and_goes_on(monkeypatch, tmp_path, capsys,
         assert rec.setup_seconds > 0
     else:
         assert rec.n_poles is None and rec.setup_seconds is None
+        # A row without audit counts reads as not all real nonpositive.
+        assert rec.all_real_nonpositive is False
     for key, value in dataclasses.asdict(rec).items():
         assert (value is None or value == getattr(clean[failed], key)
                 or key in ("failure", "setup_seconds"))
